@@ -84,8 +84,8 @@ class Behavior:
         object.__setattr__(self, "probabilities", probs)
         for event, p in probs.items():
             self.scenario.check_event(event)
-            if float(p) < -self.NORMALIZATION_TOL:
-                raise ValueError(f"negative probability {p} for {event}")
+            if not -self.NORMALIZATION_TOL <= float(p) < float("inf"):
+                raise ValueError(f"probability {p} for {event} is negative or not finite")
         for ctx in self.scenario.contexts:
             events = self.scenario.context_events(ctx)
             missing = [e for e in events if e not in probs]

@@ -10,8 +10,8 @@ Subcommands::
 
 Every run prints a human summary; ``--json`` prints the full machine
 payload instead, and ``--out FILE`` writes it to disk either way.  Exit
-codes: 0 ok, 1 computational non-convergence, 2 input error.  Values with an
-exact rational form are printed as fraction and decimal.
+codes: 0 ok, 1 non-convergence or numerical failure, 2 input error.
+Values with an exact rational form are printed as fraction and decimal.
 """
 
 from __future__ import annotations
@@ -378,6 +378,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as err:  # a ValueError, but not an input error
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -200,6 +200,8 @@ def lovasz_theta(
 
     Theta is additive over connected components, so disconnected graphs are
     solved per component (sharper and better conditioned) and reassembled.
+    An isolated vertex has theta = w in closed form: certificate [[1]], gap 0
+    and no Newton steps, so an edgeless graph's theta is its exact weight sum.
     """
     n = graph.n
     if n == 0:
@@ -263,6 +265,7 @@ def _theta_from_components(
     accuracy: float,
     max_newton_iterations: int,
 ) -> ThetaResult:
+    """Theta per component (isolated vertices in closed form), summed."""
     order: list[int] = []
     X_accum = np.zeros((0, 0))
     sw_accum = np.zeros(0)
@@ -314,22 +317,25 @@ def _lovasz_theta_connected(
     ids = graph.vertex_ids()
     index = {vid: k for k, vid in enumerate(ids)}
     w = np.array([float(v.weight) for v in graph.vertices])
+    if n == 1:  # an isolated vertex: theta = w exactly, no barrier path
+        value = float(w[0])
+        return ThetaResult(value, value, value, 0.0, np.ones((1, 1)), 0)
     sw = np.sqrt(w)
-    J = np.outer(sw, sw)
-    edges = [(index[i], index[j]) for i, j in graph.edges]
-    m = len(edges)
+    Jw = np.outer(sw, sw)
+    # edges are unique with i < j, so each fancy-indexed entry is hit once
+    I, J = np.array([(index[i], index[j]) for i, j in graph.edges]).T
+    m = len(I)
     scale = max(1.0, float(np.sum(w)))
 
     def dual_matrix(y: np.ndarray) -> np.ndarray:
-        S = -J.copy()
+        S = -Jw.copy()
         S[np.diag_indices(n)] += y[0]
-        for k, (i, j) in enumerate(edges):
-            S[i, j] += y[1 + k]
-            S[j, i] += y[1 + k]
+        S[I, J] += y[1:]
+        S[J, I] += y[1:]
         return S
 
     y = np.zeros(1 + m)
-    y[0] = float(np.linalg.eigvalsh(J)[-1]) + 1.0
+    y[0] = float(np.linalg.eigvalsh(Jw)[-1]) + 1.0
     mu = scale
     mu_target = accuracy / (8.0 * max(n, 1))
     newton_total = 0
@@ -344,32 +350,27 @@ def _lovasz_theta_connected(
             Sinv = 0.5 * (Sinv + Sinv.T)
             g = np.empty(1 + m)
             g[0] = 1.0 - mu * float(np.trace(Sinv))
-            for k, (i, j) in enumerate(edges):
-                g[1 + k] = -2.0 * mu * Sinv[i, j]
+            g[1:] = -2.0 * mu * Sinv[I, J]
             H = np.empty((1 + m, 1 + m))
             H[0, 0] = mu * float(np.sum(Sinv * Sinv))
             Sinv2 = Sinv @ Sinv
-            for k, (i, j) in enumerate(edges):
-                H[0, 1 + k] = H[1 + k, 0] = 2.0 * mu * Sinv2[i, j]
-            for a, (i, j) in enumerate(edges):
-                for b in range(a, m):
-                    p, q = edges[b]
-                    v = 2.0 * mu * (Sinv[i, p] * Sinv[j, q] + Sinv[i, q] * Sinv[j, p])
-                    H[1 + a, 1 + b] = H[1 + b, 1 + a] = v
+            H[0, 1:] = H[1:, 0] = 2.0 * mu * Sinv2[I, J]
+            # Sinv is exactly symmetric, so this block is too
+            H[1:, 1:] = 2.0 * mu * (Sinv[np.ix_(I, I)] * Sinv[np.ix_(J, J)]
+                                    + Sinv[np.ix_(I, J)] * Sinv[np.ix_(J, I)])
             try:
                 step = np.linalg.solve(H, -g)
             except np.linalg.LinAlgError:
                 return
             decrement_sq = float(-g @ step)
-            alpha, ok = 1.0, False
+            alpha = 1.0
             for _ in range(60):
                 try:
                     np.linalg.cholesky(dual_matrix(y + alpha * step))
-                    ok = True
                     break
                 except np.linalg.LinAlgError:
                     alpha *= 0.5
-            if not ok:
+            else:
                 return
             y = y + alpha * step
             newton_total += 1
@@ -387,34 +388,29 @@ def _lovasz_theta_connected(
         X = X + Sinv @ (mu * np.eye(n) - S @ X)
         X = 0.5 * (X + X.T)
         for _ in range(6):
-            for i, j in edges:
-                X[i, j] = X[j, i] = 0.0
+            X[I, J] = X[J, I] = 0.0
             vals, vecs = np.linalg.eigh(X)
             if vals[0] >= -1e-14 * max(1.0, vals[-1]):
                 break
             X = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
             X = 0.5 * (X + X.T)
-        for i, j in edges:
-            X[i, j] = X[j, i] = 0.0
+        X[I, J] = X[J, I] = 0.0
         lam_min = float(np.linalg.eigvalsh(X)[0])
         if lam_min < 0.0:
             delta = -1.5 * lam_min
             X = X + delta * np.eye(n)
-            for i, j in edges:
-                X[i, j] = X[j, i] = 0.0
+            X[I, J] = X[J, I] = 0.0
         X /= np.trace(X)
-        return float(np.sum(J * X)), float(y[0]), X
+        return float(np.sum(Jw * X)), float(y[0]), X
 
     # the independent-set indicator is an exact rank-one feasible point with
     # value alpha_w; it beats the repaired central X at degenerate optima
     # where theta == alpha and the extraction conditioning is poor
-    alpha_value, alpha_witness = independence_number(graph)
-    u = np.zeros(n)
-    for vid in alpha_witness:
-        u[index[vid]] = math.sqrt(float(graph.vertex(vid).weight))
+    _, alpha_witness = independence_number(graph)
+    u = np.where(np.isin(ids, alpha_witness), sw, 0.0)
     norm_sq = float(u @ u)
     X_alpha = np.outer(u, u) / norm_sq if norm_sq > 0 else np.eye(n) / n
-    primal_alpha = float(np.sum(J * X_alpha))
+    primal_alpha = float(np.sum(Jw * X_alpha))
 
     best = (primal_alpha, float("inf"), X_alpha)
     retries = 0

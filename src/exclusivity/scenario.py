@@ -234,8 +234,8 @@ class GraphVertex:
     weight: Weight = 1
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ValueError("vertex weights must be non-negative")
+        if not 0 <= self.weight < float("inf"):
+            raise ValueError(f"vertex weights must be finite and non-negative, got {self.weight!r}")
 
 
 @dataclass(frozen=True)
@@ -263,6 +263,7 @@ class ExclusivityGraph:
             norm.add((min(i, j), max(i, j)))
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=lambda v: v.id)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
+        object.__setattr__(self, "_edge_set", frozenset(norm))
 
     @property
     def n(self) -> int:
@@ -294,7 +295,7 @@ class ExclusivityGraph:
         return {k: frozenset(s) for k, s in adj.items()}
 
     def has_edge(self, i: int, j: int) -> bool:
-        return (min(i, j), max(i, j)) in set(self.edges)
+        return (min(i, j), max(i, j)) in self._edge_set
 
     def degrees(self) -> dict[int, int]:
         return {vid: len(nbrs) for vid, nbrs in self.adjacency().items()}

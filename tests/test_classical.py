@@ -173,6 +173,13 @@ class TestBehaviorValidation:
         with pytest.raises(ValueError):
             Behavior(scenario=bell222, probabilities=probs)
 
+    def test_nan_probability_rejected(self, bell222):
+        # abs(nan - 1) > tol is False, so normalization alone lets NaN through
+        probs = {e: 0.25 for e in scenario.enumerate_events(bell222)}
+        probs[next(iter(probs))] = float("nan")
+        with pytest.raises(ValueError):
+            Behavior(scenario=bell222, probabilities=probs)
+
     def test_missing_event_rejected(self, bell222):
         events = scenario.enumerate_events(bell222)
         probs = {e: 0.25 for e in events[:-1]}

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from exclusivity import classical, scenario
+from exclusivity import classical, graphs, scenario
 from exclusivity.cli import main
 
 
@@ -52,6 +53,14 @@ class TestGraphCommand:
 
     def test_unknown_builtin(self, tmp_path):
         assert main(["graph", "nonsense"]) == 2
+
+    def test_numerical_failure_is_not_an_input_error(self, monkeypatch):
+        # LinAlgError subclasses ValueError, but it means the computation failed
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(graphs, "lovasz_theta", fail)
+        assert main(["graph", "pentagon"]) == 1
 
 
 class TestVerifyCommand:

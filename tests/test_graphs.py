@@ -165,6 +165,34 @@ class TestLovaszTheta:
         assert err.value.best_primal <= err.value.best_dual
         assert err.value.best_primal >= 2.0 - 1e-12  # alpha certificate floor
 
+    def test_edgeless_is_exact_without_newton_steps(self):
+        result = lovasz_theta(edgeless_graph(16))
+        assert result.value == 16.0
+        assert result.duality_gap == 0
+        assert result.iterations == 0
+
+    def test_isolated_fraction_weight_adds_to_component(self):
+        w = Fraction(2, 7)
+        g = ExclusivityGraph(
+            vertices=tuple(GraphVertex(id=i) for i in range(5)) + (GraphVertex(id=5, weight=w),),
+            edges=cycle_graph(5).edges,
+        )
+        assert abs(lovasz_theta(g).value - (SQRT5 + float(w))) <= 1e-7
+
+    def test_k16_and_paley13(self):
+        assert abs(lovasz_theta(complete_graph(16)).value - 1.0) <= 1e-6
+        residues = {(k * k) % 13 for k in range(1, 13)}
+        paley = ExclusivityGraph(
+            vertices=tuple(GraphVertex(id=i) for i in range(13)),
+            edges=tuple((i, j) for i in range(13) for j in range(i + 1, 13) if (j - i) % 13 in residues),
+        )
+        assert abs(lovasz_theta(paley).value - math.sqrt(13)) <= 1e-6
+
+    def test_zero_weight_vertex_has_trace_one_certificate(self):
+        result = lovasz_theta(ExclusivityGraph(vertices=(GraphVertex(id=0, weight=0),), edges=()))
+        assert result.value == 0.0
+        assert np.trace(result.primal_certificate) == 1.0
+
     def test_alpha_below_theta_on_random_graphs(self):
         rng = np.random.default_rng(11)
         for _ in range(10):

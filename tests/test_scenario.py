@@ -249,6 +249,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             GraphVertex(id=0, weight=-1)
 
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight(self, weight):
+        # a NaN weight used to vanish from independence_number's comparisons,
+        # an infinite one to break lovasz_theta's eigensolver
+        from exclusivity.scenario import GraphVertex
+
+        with pytest.raises(ValueError):
+            GraphVertex(id=0, weight=weight)
+
 
 class TestJson:
     def test_graph_round_trip(self, chsh_graph):
