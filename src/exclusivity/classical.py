@@ -22,6 +22,8 @@ from .scenario import (
     enumerate_events,
     event_from_json,
     event_to_json,
+    number_from_json,
+    number_to_json,
     scenario_from_json,
     scenario_to_json,
 )
@@ -185,18 +187,6 @@ def classical_paradox_max(
 # JSON round-trips
 
 
-def _prob_to_json(p: Probability):
-    if isinstance(p, Fraction):
-        return str(p)
-    return p
-
-
-def _prob_from_json(p) -> Probability:
-    if isinstance(p, str):
-        return Fraction(p)
-    return p
-
-
 def strategy_to_json(strategy: DeterministicStrategy) -> dict:
     return {"outcomes": [[m, o] for m, o in strategy.outcomes]}
 
@@ -209,7 +199,7 @@ def behavior_to_json(behavior: Behavior) -> dict:
     return {
         "scenario": scenario_to_json(behavior.scenario),
         "probabilities": [
-            [event_to_json(e), _prob_to_json(p)]
+            [event_to_json(e), number_to_json(p)]
             for e, p in sorted(behavior.probabilities.items(), key=lambda kv: kv[0].assignments)
         ],
     }
@@ -219,6 +209,6 @@ def behavior_from_json(data: Mapping) -> Behavior:
     return Behavior(
         scenario=scenario_from_json(data["scenario"]),
         probabilities={
-            event_from_json(e): _prob_from_json(p) for e, p in data["probabilities"]
+            event_from_json(e): number_from_json(p) for e, p in data["probabilities"]
         },
     )

@@ -17,6 +17,7 @@ Values with an exact rational form are printed as fraction and decimal.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -128,28 +129,16 @@ def cmd_verify(args) -> dict:
     return {"spec": args.spec, "behavior": args.behavior, "report": report.to_json()}
 
 
-def _optimizer_config(args) -> optimize.OptimizerConfig:
-    if args.config:
-        config = optimize.OptimizerConfig.from_json(_load_json(args.config))
-    else:
-        config = optimize.OptimizerConfig()
-    overrides = {}
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        data = config.to_json()
-        data.update(overrides)
-        config = optimize.OptimizerConfig.from_json(data)
-    return config
+def _optimizer_config(args, default: optimize.OptimizerConfig) -> optimize.OptimizerConfig:
+    overrides = {"restarts": args.restarts, "seed": args.seed}
+    return dataclasses.replace(default, **{k: v for k, v in overrides.items() if v is not None})
 
 
 OPTIMIZE_TASKS = ("hardy-local", "chsh-paradox-local", "kcbs-qutrit")
 
 
 def cmd_optimize(args) -> dict:
-    config = _optimizer_config(args)
+    config = _optimizer_config(args, optimize.OptimizerConfig())
     if args.task == "hardy-local":
         result = optimize.maximize_hardy_local(config)
     elif args.task == "chsh-paradox-local":
@@ -161,7 +150,7 @@ def cmd_optimize(args) -> dict:
     else:
         raise InputError(f"unknown task {args.task!r}; choose from {OPTIMIZE_TASKS}")
     payload = result.to_json()
-    payload["config"] = config.to_json()
+    payload["config"] = dataclasses.asdict(config)
     return payload
 
 
@@ -195,12 +184,8 @@ def cmd_inequality(args) -> dict:
 
 
 def cmd_tables(args) -> dict:
-    config = _optimizer_config(args)
-    if args.restarts is None:
-        # modest default so the command stays interactive; raise for audits
-        data = config.to_json()
-        data["restarts"] = 40
-        config = optimize.OptimizerConfig.from_json(data)
+    # modest default so the command stays interactive; raise for audits
+    config = _optimizer_config(args, optimize.OptimizerConfig(restarts=40))
 
     chsh_spec = paradox.chsh_paradox_spec()
     classical_value, _ = classical.classical_paradox_max(chsh_spec, scenario.bell_222())
@@ -246,7 +231,7 @@ def cmd_tables(args) -> dict:
                 "measurements": 4,
             },
         ],
-        "config": config.to_json(),
+        "config": dataclasses.asdict(config),
         "feasible": bool(local.feasible and hardy.feasible and kcbs.feasible),
     }
 
@@ -338,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="run a model-family optimization task")
     p.add_argument("task", help=f"task: {', '.join(OPTIMIZE_TASKS)}")
-    p.add_argument("--config", type=str, default=None, help="OptimizerConfig JSON file")
     p.add_argument("--constrained", action="store_true", help="kcbs: add paradox conditions")
     p.add_argument("--dimension", type=int, default=3, help="kcbs: vector dimension")
     common(p)
@@ -351,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inequality)
 
     p = sub.add_parser("tables", help="regenerate the hierarchy and comparison tables")
-    p.add_argument("--config", type=str, default=None, help="OptimizerConfig JSON file")
     common(p)
     p.set_defaults(func=cmd_tables)
 
@@ -361,10 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _digest(args: argparse.Namespace) -> str:
     skip = {"func", "out", "json"}  # outputs, not inputs
     data = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
-    for key in ("scenario_file", "config"):
-        path = data.get(key)
-        if path and Path(path).exists():
-            data[f"{key}_sha"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    path = data.get("scenario_file")
+    if path and Path(path).exists():
+        data["scenario_file_sha"] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     blob = json.dumps(data, sort_keys=True, default=str).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -41,6 +41,14 @@ KCBS_CLASSICAL_BOUND = 2
 CORRELATOR_NCHV_BOUND = -6
 
 
+def _num(x: Number):
+    """JSON form of a value: a ``Fraction`` as its string, an int as is,
+    anything else as a float."""
+    if isinstance(x, Fraction):
+        return str(x)
+    return x if isinstance(x, int) else float(x)
+
+
 @dataclass(frozen=True)
 class InequalitySpec:
     """An event-sum or edge-correlator inequality with its classical bound."""
@@ -99,19 +107,14 @@ class InequalityEvaluation:
     breakdown: tuple[tuple[str, Number], ...]
 
     def to_json(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x if isinstance(x, int) else float(x)
-
         return {
             "name": self.name,
-            "value": num(self.value),
+            "value": _num(self.value),
             "value_float": float(self.value),
-            "bound": num(self.bound),
+            "bound": _num(self.bound),
             "direction": self.direction,
             "violated": self.violated,
-            "breakdown": {label: num(v) for label, v in self.breakdown},
+            "breakdown": {label: _num(v) for label, v in self.breakdown},
         }
 
 
@@ -180,19 +183,14 @@ class CorrelatorInequalityResult:
         return float(self.value) < self.nchv_bound - 1e-12
 
     def to_json(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction):
-                return str(x)
-            return x if isinstance(x, int) else float(x)
-
         return {
-            "value": num(self.value),
+            "value": _num(self.value),
             "value_float": float(self.value),
             "nchv_bound": self.nchv_bound,
             "violated": self.violated,
-            "vertex_sum": num(self.vertex_sum),
+            "vertex_sum": _num(self.vertex_sum),
             "closed_form_valid": self.closed_form_valid,
-            "edges": {f"{i}-{j}": num(v) for (i, j), v in self.edge_values},
+            "edges": {f"{i}-{j}": _num(v) for (i, j), v in self.edge_values},
         }
 
 

@@ -2,28 +2,31 @@
 
 All tasks share one engine: maximize a probability objective subject to
 equality constraints (probabilities or inner products that must vanish, sums
-that must hit 1), handled by quadratic penalties on a geometrically
-increasing schedule.  Every task supplies its objective, its residuals and
-their closed-form Jacobians, so each penalty stage is a BFGS run on the
-analytic gradient of ``-value + mu * |residuals|^2``.  A feasibility polish
-follows: a Gauss-Newton least-squares solve (``scipy.optimize.least_squares``
-with the analytic Jacobian) that drives the residuals to zero.  The polish
-step matters: near impossibility boundaries the penalized iterates ride
-ridges where the objective scales like the square root of the residual, so
-values at loose feasibility (1e-8) can overstate the true feasible supremum
-by orders of magnitude.  Driving the residuals to ~1e-16 first and only then
-reading off the objective removes that bias.
+that must hit 1), handled by quadratic penalties on the fixed geometric
+schedule ``PENALTY_SCHEDULE``.  Every task supplies its objective, its
+residuals and their closed-form Jacobians, so each penalty stage is a BFGS
+run on the analytic gradient of ``-value + mu * |residuals|^2``.  A
+feasibility polish always follows: a Gauss-Newton least-squares solve
+(``scipy.optimize.least_squares`` with the analytic Jacobian) that drives
+the residuals to zero.  The polish step matters: near impossibility
+boundaries the penalized iterates ride ridges where the objective scales
+like the square root of the residual, so values at loose feasibility (1e-8)
+can overstate the true feasible supremum by orders of magnitude.  Driving
+the residuals to ~1e-16 first and only then reading off the objective
+removes that bias.
 
 A task may polish on a different residual system with the same zero set.
 The two-qubit tasks polish the zero events' amplitudes (real and imaginary
 parts) rather than their probabilities: a probability is |amplitude|^2, so
 its Jacobian vanishes exactly at the solution and Gauss-Newton on it would
 crawl.  Feasibility is always judged on the task's own residuals (the
-probabilities) against ``feasibility_tol``.
+probabilities) against ``FEASIBILITY_TOL``.
 
-Every restart draws its starting point from a stream seeded by
-(seed, restart index), so results are bit-reproducible and independent of
-execution order.  Ties prefer the lowest restart index.
+The only settings are the number of restarts and the seed
+(``OptimizerConfig``); the schedule, the tolerance and the iteration caps
+are module constants.  Every restart draws its starting point from a stream
+seeded by (seed, restart index), so results are bit-reproducible and
+independent of execution order.  Ties prefer the lowest restart index.
 
 Two-qubit tasks optimize over a gauge-fixed parameterization: state
 hyperspherical magnitudes (chi1, chi2, chi3) and the |11> phase, plus Bloch
@@ -57,46 +60,23 @@ TAU = 2 * math.pi
 # a few dozen evaluations).
 STAGE_MAX_ITERATIONS = 1000
 POLISH_MAX_EVALUATIONS = 200
+# Penalty weights mu of the successive BFGS stages, and the largest residual
+# a polished restart may keep and still count as feasible.
+PENALTY_SCHEDULE = (1e2, 1e5, 1e8)
+FEASIBILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Multistart/penalty settings shared by every optimization task."""
+    """Number of seeded restarts and the seed they draw their starts from;
+    restart ``i`` starts from the stream seeded by ``(seed, i)``."""
 
     restarts: int = 200
     seed: int = 20240
-    penalty_schedule: tuple[float, ...] = (1e2, 1e5, 1e8)
-    feasibility_tol: float = 1e-8
-    polish: bool = True
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if any(b <= a for a, b in zip(self.penalty_schedule, self.penalty_schedule[1:])):
-            raise ValueError("penalty schedule must be strictly increasing")
-        if self.feasibility_tol <= 0:
-            raise ValueError("feasibility_tol must be positive")
-
-    def to_json(self) -> dict:
-        return {
-            "restarts": self.restarts,
-            "seed": self.seed,
-            "penalty_schedule": list(self.penalty_schedule),
-            "feasibility_tol": self.feasibility_tol,
-            "polish": self.polish,
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "OptimizerConfig":
-        """Load a config; unknown keys are ignored, among them the retired
-        simplex-search settings ``nm_max_iterations``, ``xatol`` and ``fatol``."""
-        return cls(
-            restarts=int(data.get("restarts", 200)),
-            seed=int(data.get("seed", 20240)),
-            penalty_schedule=tuple(data.get("penalty_schedule", (1e2, 1e5, 1e8))),
-            feasibility_tol=float(data.get("feasibility_tol", 1e-8)),
-            polish=bool(data.get("polish", True)),
-        )
 
 
 class Classification(enum.Enum):
@@ -174,10 +154,23 @@ def _multistart(
     the task's own residuals.  ``describe`` renders the winning parameters
     for the result payload.
     """
-    constrained = any(mu > 0 for mu in config.penalty_schedule)
     if polish_system is None:
         def polish_system(xx):
             return evaluate(xx)[2:]
+
+    # least_squares asks for the Jacobian at the point whose residuals it
+    # has just accepted; hand back the one computed with them
+    last: list = [None, None]
+
+    def polish_residuals(xx: np.ndarray) -> np.ndarray:
+        residuals, jacobian = polish_system(xx)
+        last[:] = xx.copy(), jacobian
+        return residuals
+
+    def polish_jacobian(xx: np.ndarray) -> np.ndarray:
+        if last[0] is not None and np.array_equal(xx, last[0]):
+            return last[1]
+        return polish_system(xx)[1]
 
     summaries: list[RestartSummary] = []
     best_key = None
@@ -187,7 +180,7 @@ def _multistart(
         rng = np.random.default_rng([config.seed, index])
         x = np.asarray(sample_start(rng), dtype=float)
         stage_values = []
-        for mu in config.penalty_schedule:
+        for mu in PENALTY_SCHEDULE:
             def penalized(xx, _mu=mu):
                 value, gradient, residuals, jacobian = evaluate(xx)
                 return (
@@ -200,19 +193,16 @@ def _multistart(
                 options={"maxiter": STAGE_MAX_ITERATIONS},
             ).x
             stage_values.append(evaluate(x)[0])
-        if config.polish and constrained:
-            # tolerances at the floating-point floor: the polish runs until
-            # the residuals stop shrinking, not until scipy's 1e-8 defaults
-            x = least_squares(
-                lambda xx: polish_system(xx)[0],
-                x,
-                jac=lambda xx: polish_system(xx)[1],
-                xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                max_nfev=POLISH_MAX_EVALUATIONS,
-            ).x
+        # tolerances at the floating-point floor: the polish runs until the
+        # residuals stop shrinking, not until scipy's 1e-8 defaults
+        x = least_squares(
+            polish_residuals, x, jac=polish_jacobian,
+            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+            max_nfev=POLISH_MAX_EVALUATIONS,
+        ).x
         value, _, residuals, _ = evaluate(x)
         max_residual = float(np.max(np.abs(residuals))) if residuals.size else 0.0
-        feasible = max_residual <= config.feasibility_tol
+        feasible = max_residual <= FEASIBILITY_TOL
         cls = classify(x) if classify is not None and feasible else None
         summaries.append(
             RestartSummary(
@@ -386,7 +376,7 @@ def _maximize_bell_paradox(
         )
 
     def classify(x: np.ndarray) -> Classification:
-        return classify_local_model(_bell_model_from_raw(x), tol=config.feasibility_tol)
+        return classify_local_model(_bell_model_from_raw(x), tol=FEASIBILITY_TOL)
 
     return _multistart(
         task,

@@ -382,13 +382,15 @@ def pentagon_event_graph() -> ExclusivityGraph:
 # JSON round-trips
 
 
-def _weight_to_json(w: Weight):
+def number_to_json(w: Weight):
+    """An exact number for JSON: a ``Fraction`` as its string, others as is."""
     if isinstance(w, Fraction):
         return str(w)
     return w
 
 
-def _weight_from_json(w) -> Weight:
+def number_from_json(w) -> Weight:
+    """Inverse of ``number_to_json``."""
     if isinstance(w, str):
         return Fraction(w)
     return w
@@ -408,7 +410,7 @@ def graph_to_json(graph: ExclusivityGraph) -> dict:
             {
                 "id": v.id,
                 "event": event_to_json(v.event) if v.event is not None else None,
-                "weight": _weight_to_json(v.weight),
+                "weight": number_to_json(v.weight),
             }
             for v in graph.vertices
         ],
@@ -421,7 +423,7 @@ def graph_from_json(data: Mapping) -> ExclusivityGraph:
         GraphVertex(
             id=int(v["id"]),
             event=event_from_json(v["event"]) if v.get("event") is not None else None,
-            weight=_weight_from_json(v.get("weight", 1)),
+            weight=number_from_json(v.get("weight", 1)),
         )
         for v in data["vertices"]
     )

@@ -109,6 +109,7 @@ class TestOptimizeCommand:
         assert results["feasible"] is True
         assert results["best_value"] == pytest.approx(0.09016994, abs=1e-3)
         assert results["config"]["restarts"] == 3
+        assert results["config"] == {"restarts": 3, "seed": 4}
 
     def test_kcbs_dimension_one_nonconvergent(self, tmp_path):
         code, report = run(
@@ -176,6 +177,7 @@ class TestTablesCommand:
         assert rows["chsh"]["dimension"] == 4 and rows["chsh"]["measurements"] == 8
         assert rows["pentagon-qutrit"]["p_hardy_float"] == pytest.approx(1 / 9, abs=1e-3)
         assert rows["hardy"]["p_hardy_float"] == pytest.approx(0.09017, abs=1e-3)
+        assert results["config"] == {"restarts": 6, "seed": 2}
 
     def test_versions_and_digest_present(self, tmp_path):
         code, report = run(tmp_path, "graph", "pentagon")

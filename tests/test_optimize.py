@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from exclusivity import paradox
+from exclusivity import optimize, paradox
 from exclusivity.optimize import (
     Classification,
     OptimizerConfig,
@@ -61,13 +62,6 @@ class TestHardy:
         assert a.best_value == b.best_value
         assert a.best_raw == b.best_raw
         assert [s.value for s in a.restart_summaries] == [s.value for s in b.restart_summaries]
-
-    def test_unconstrained_sanity_mode(self):
-        # zero penalty: P(00|00) is free to reach 1 on a product state
-        config = OptimizerConfig(restarts=4, seed=2, penalty_schedule=(0.0,))
-        result = maximize_hardy_local(config)
-        assert result.best_value == pytest.approx(1.0, abs=1e-6)
-        assert not result.feasible
 
     def test_stage_values_monotone(self, hardy_result):
         for summary in hardy_result.restart_summaries:
@@ -202,29 +196,31 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(penalty_schedule=(1e4, 1e2))
-        with pytest.raises(ValueError):
-            OptimizerConfig(feasibility_tol=0.0)
 
-    def test_json_round_trip(self):
-        config = OptimizerConfig(restarts=7, seed=1, penalty_schedule=(1.0, 10.0))
-        assert OptimizerConfig.from_json(config.to_json()) == config
+    def test_only_restarts_and_seed_are_settable(self):
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
+        assert optimize.PENALTY_SCHEDULE == (1e2, 1e5, 1e8)
+        assert optimize.FEASIBILITY_TOL == 1e-8
 
 
-class TestLegacyConfigKeys:
-    def test_retired_keys_are_ignored(self):
-        data = {
-            "restarts": 7,
-            "seed": 1,
-            "penalty_schedule": [1.0, 10.0],
-            "nm_max_iterations": 3000,
-            "xatol": 1e-12,
-            "fatol": 1e-14,
-        }
-        assert OptimizerConfig.from_json(data) == OptimizerConfig(
-            restarts=7, seed=1, penalty_schedule=(1.0, 10.0)
-        )
+class TestPolish:
+    def test_each_point_runs_the_polish_model_once(self, monkeypatch):
+        # least_squares asks for the Jacobian at the point it has just
+        # evaluated; that must not run the forward model a second time
+        points = []
+        multistart = optimize._multistart
+
+        def logged_multistart(*args, polish_system, **kwargs):
+            def logged(x):
+                points.append(np.array(x))
+                return polish_system(x)
+
+            return multistart(*args, polish_system=logged, **kwargs)
+
+        monkeypatch.setattr(optimize, "_multistart", logged_multistart)
+        maximize_hardy_local(OptimizerConfig(restarts=2, seed=5))
+        assert len(points) > 2
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
 
 
 def assert_matches_central_differences(analytic, f, x, h=1e-6, tol=1e-8):
