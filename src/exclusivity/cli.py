@@ -134,21 +134,21 @@ def _optimizer_config(args, default: optimize.OptimizerConfig) -> optimize.Optim
     return dataclasses.replace(default, **{k: v for k, v in overrides.items() if v is not None})
 
 
-OPTIMIZE_TASKS = ("hardy-local", "chsh-paradox-local", "kcbs-qutrit")
+OPTIMIZE_TASKS = tuple(optimize.DEFAULT_CONFIGS)
 
 
 def cmd_optimize(args) -> dict:
-    config = _optimizer_config(args, optimize.OptimizerConfig())
+    if args.task not in optimize.DEFAULT_CONFIGS:
+        raise InputError(f"unknown task {args.task!r}; choose from {OPTIMIZE_TASKS}")
+    config = _optimizer_config(args, optimize.DEFAULT_CONFIGS[args.task])
     if args.task == "hardy-local":
         result = optimize.maximize_hardy_local(config)
     elif args.task == "chsh-paradox-local":
         result = optimize.maximize_chsh_paradox_local(config)
-    elif args.task == "kcbs-qutrit":
+    else:
         result = optimize.maximize_kcbs_qutrit(
             constrained=args.constrained, config=config, dimension=args.dimension
         )
-    else:
-        raise InputError(f"unknown task {args.task!r}; choose from {OPTIMIZE_TASKS}")
     payload = result.to_json()
     payload["config"] = dataclasses.asdict(config)
     return payload
@@ -302,40 +302,51 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
-        p.add_argument("--seed", type=int, default=None, help="optimizer seed")
-        p.add_argument("--restarts", type=int, default=None, help="optimizer restarts")
+    # each subcommand takes only the options it reads, so an ignored flag
+    # is a usage error rather than a silent change of inputs_digest
+    def outputs(p):
         p.add_argument("--json", action="store_true", help="print the JSON payload")
         p.add_argument("--out", type=str, default=None, help="write the JSON payload to a file")
+
+    def tolerance(p):
+        p.add_argument("--tol", type=float, default=None, help="numeric tolerance")
+        outputs(p)
+
+    def optimizer(p):
+        p.add_argument("--seed", type=int, default=None, help="optimizer seed")
+        p.add_argument(
+            "--restarts", type=int, default=None,
+            help="optimizer restarts (default: the task's own, 40 for tables)",
+        )
+        outputs(p)
 
     p = sub.add_parser("graph", help="graph invariants for a builtin or a scenario file")
     p.add_argument("name", nargs="?", default="chsh", help=f"builtin: {', '.join(BUILTIN_GRAPHS)}")
     p.add_argument("--scenario-file", type=str, default=None)
-    common(p)
+    tolerance(p)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("verify", help="verify a behavior against a paradox spec")
     p.add_argument("behavior", help="behavior JSON file or builtin name")
     p.add_argument("spec", help=f"spec name: {', '.join(sorted(paradox.BUILTIN_SPECS))}")
-    common(p)
+    tolerance(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="run a model-family optimization task")
     p.add_argument("task", help=f"task: {', '.join(OPTIMIZE_TASKS)}")
     p.add_argument("--constrained", action="store_true", help="kcbs: add paradox conditions")
     p.add_argument("--dimension", type=int, default=3, help="kcbs: vector dimension")
-    common(p)
+    optimizer(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("inequality", help="evaluate an inequality on a behavior")
     p.add_argument("name", help="chsh | kcbs | chsh-correlator")
     p.add_argument("--behavior", type=str, default=None, help="behavior file or builtin")
-    common(p)
+    outputs(p)
     p.set_defaults(func=cmd_inequality)
 
     p = sub.add_parser("tables", help="regenerate the hierarchy and comparison tables")
-    common(p)
+    optimizer(p)
     p.set_defaults(func=cmd_tables)
 
     return parser

@@ -417,7 +417,16 @@ def _lovasz_theta_connected(
     # extract a candidate certificate at every late stage: the extraction
     # noise varies along the path and the best sample wins
     extract_from = 1e-4 * scale
-    while True:
+    # The loop needs at most max_passes passes.  mu starts at scale and each
+    # pass sets it to max(factor * mu, mu_target) with factor <= 0.4, so it
+    # stays within [mu_target * 1e-3, max(scale, mu_target)] (the 3 retries
+    # cut the target by 10 each).  A pass that clamps mu to the target is
+    # followed by a check pass (mu at the target), which breaks or spends a
+    # retry: at most 4 of each.  Every other pass divides mu by 2.5 or more.
+    max_passes = 8 + math.ceil(
+        math.log(max(scale, mu_target) / (mu_target * 1e-3)) / math.log(2.5)
+    )
+    for _ in range(max_passes):
         center(mu)
         late = mu <= extract_from
         if late or mu <= mu_target * 1.0000001:

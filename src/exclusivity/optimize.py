@@ -4,8 +4,9 @@ All tasks share one engine: maximize a probability objective subject to
 equality constraints (probabilities or inner products that must vanish, sums
 that must hit 1), handled by quadratic penalties on the fixed geometric
 schedule ``PENALTY_SCHEDULE``.  Every task supplies its objective, its
-residuals and their closed-form Jacobians, so each penalty stage is a BFGS
-run on the analytic gradient of ``-value + mu * |residuals|^2``.  A
+residuals and their closed-form Jacobians, so each penalty stage is a
+limited-memory quasi-Newton run (scipy's compiled L-BFGS-B, no bounds) on
+the analytic gradient of ``-value + mu * |residuals|^2``.  A
 feasibility polish always follows: a Gauss-Newton least-squares solve
 (``scipy.optimize.least_squares`` with the analytic Jacobian) that drives
 the residuals to zero.  The polish step matters: near impossibility
@@ -23,10 +24,11 @@ crawl.  Feasibility is always judged on the task's own residuals (the
 probabilities) against ``FEASIBILITY_TOL``.
 
 The only settings are the number of restarts and the seed
-(``OptimizerConfig``); the schedule, the tolerance and the iteration caps
-are module constants.  Every restart draws its starting point from a stream
-seeded by (seed, restart index), so results are bit-reproducible and
-independent of execution order.  Ties prefer the lowest restart index.
+(``OptimizerConfig``, with each task's default in ``DEFAULT_CONFIGS``); the
+schedule, the tolerance and the iteration caps are module constants.  Every
+restart draws its starting point from a stream seeded by (seed, restart
+index), so results are bit-reproducible and independent of execution
+order.  Ties prefer the lowest restart index.
 
 Two-qubit tasks optimize over a gauge-fixed parameterization: state
 hyperspherical magnitudes (chi1, chi2, chi3) and the |11> phase, plus Bloch
@@ -54,14 +56,14 @@ from .scenario import Event, bell_event
 
 TAU = 2 * math.pi
 
-# Hard caps that keep every local search finite: BFGS iterations per penalty
-# stage, and residual evaluations of the least-squares feasibility polish.
-# Both sit well above what the builtin tasks use (a few hundred iterations,
-# a few dozen evaluations).
+# Hard caps that keep every local search finite: L-BFGS-B iterations per
+# penalty stage, and residual evaluations of the least-squares feasibility
+# polish.  Both sit well above what the builtin tasks use (a few hundred
+# iterations, a few dozen evaluations).
 STAGE_MAX_ITERATIONS = 1000
 POLISH_MAX_EVALUATIONS = 200
-# Penalty weights mu of the successive BFGS stages, and the largest residual
-# a polished restart may keep and still count as feasible.
+# Penalty weights mu of the successive L-BFGS-B stages, and the largest
+# residual a polished restart may keep and still count as feasible.
 PENALTY_SCHEDULE = (1e2, 1e5, 1e8)
 FEASIBILITY_TOL = 1e-8
 
@@ -77,6 +79,15 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+
+
+# The config each task runs when none is given (the CLI's too): the
+# CHSH-local bound is the paper's central claim and gets the most restarts.
+DEFAULT_CONFIGS = {
+    "hardy-local": OptimizerConfig(),
+    "chsh-paradox-local": OptimizerConfig(restarts=1000),
+    "kcbs-qutrit": OptimizerConfig(restarts=100),
+}
 
 
 class Classification(enum.Enum):
@@ -188,9 +199,11 @@ def _multistart(
                     -gradient + 2.0 * _mu * (residuals @ jacobian),
                 )
 
+            # ftol at the floating-point floor: at mu = 1e8 the default
+            # relative-decrease test stops short of the optimum
             x = minimize(
-                penalized, x, jac=True, method="BFGS",
-                options={"maxiter": STAGE_MAX_ITERATIONS},
+                penalized, x, jac=True, method="L-BFGS-B",
+                options={"maxiter": STAGE_MAX_ITERATIONS, "ftol": 1e-15},
             ).x
             stage_values.append(evaluate(x)[0])
         # tolerances at the floating-point floor: the polish runs until the
@@ -396,7 +409,7 @@ def maximize_hardy_local(config: Optional[OptimizerConfig] = None) -> Optimizati
     """
     from .paradox import hardy_spec
 
-    config = config or OptimizerConfig()
+    config = config or DEFAULT_CONFIGS["hardy-local"]
     spec = hardy_spec()
     return _maximize_bell_paradox(
         "hardy-local", spec.positive_events, spec.zero_events, config, classify_optimum=False
@@ -412,7 +425,7 @@ def maximize_chsh_paradox_local(config: Optional[OptimizerConfig] = None) -> Opt
     """
     from .paradox import chsh_paradox_spec
 
-    config = config or OptimizerConfig(restarts=1000)
+    config = config or DEFAULT_CONFIGS["chsh-paradox-local"]
     spec = chsh_paradox_spec()
     return _maximize_bell_paradox(
         "chsh-paradox-local", spec.positive_events, spec.zero_events, config, classify_optimum=True
@@ -531,7 +544,7 @@ def maximize_kcbs_qutrit(
     it to 2 + 1/9.  Dimensions too small for the orthogonality pattern
     come back with ``feasible=False``.
     """
-    config = config or OptimizerConfig(restarts=100)
+    config = config or DEFAULT_CONFIGS["kcbs-qutrit"]
     task = "kcbs-qutrit-constrained" if constrained else "kcbs-qutrit"
     if dimension < 1:
         raise ValueError("dimension must be positive")

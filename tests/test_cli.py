@@ -1,10 +1,11 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from exclusivity import classical, graphs, scenario
+from exclusivity import classical, graphs, optimize, scenario
 from exclusivity.cli import main
 
 
@@ -130,6 +131,31 @@ class TestOptimizeCommand:
     def test_unknown_task(self, tmp_path):
         assert main(["optimize", "warp-drive"]) == 2
 
+    @pytest.mark.parametrize(
+        "task, function, restarts",
+        [
+            ("hardy-local", "maximize_hardy_local", 200),
+            ("chsh-paradox-local", "maximize_chsh_paradox_local", 1000),
+            ("kcbs-qutrit", "maximize_kcbs_qutrit", 100),
+        ],
+    )
+    def test_default_restarts_are_the_library_defaults(
+        self, monkeypatch, task, function, restarts
+    ):
+        received = []
+
+        def stub(*args, config=None, **kwargs):
+            config = config or args[-1]
+            received.append(config)
+            return SimpleNamespace(to_json=lambda: {
+                "task": task, "best_value": 0.0, "feasible": True,
+                "restarts_completed": config.restarts,
+            })
+
+        monkeypatch.setattr(optimize, function, stub)
+        assert main(["optimize", task]) == 0
+        assert received == [optimize.OptimizerConfig(restarts=restarts, seed=20240)]
+
     def test_determinism_of_payload(self, tmp_path):
         _, first = run(tmp_path, "optimize", "hardy-local", "--restarts", "2", "--seed", "9",
                        out_name="a.json")
@@ -191,3 +217,22 @@ class TestTablesCommand:
         report = json.loads(out)
         assert report["command"] == "graph"
         assert report["results"]["independence_number"] == 2
+
+
+class TestOptionsPerSubcommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "hardy-local", "--tol", "1e-3"],
+            ["tables", "--tol", "1e-3"],
+            ["graph", "chsh", "--seed", "1"],
+            ["verify", "construction", "chsh", "--restarts", "5"],
+            ["inequality", "chsh", "--tol", "1e-3"],
+        ],
+    )
+    def test_ignored_options_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "unrecognized arguments" in err

@@ -157,6 +157,14 @@ class TestKcbs:
         assert result.feasible
         assert result.best_value == pytest.approx(2 + 1 / 9, abs=1e-3)
 
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_last_stage_runs_to_the_constrained_optimum(self, seed):
+        # a stage that stops on relative decrease (L-BFGS-B's default ftol)
+        # leaves the mu = 1e8 stage about 1e-4 short at these seeds
+        result = maximize_kcbs_qutrit(True, OptimizerConfig(restarts=10, seed=seed))
+        assert result.feasible
+        assert result.best_value == pytest.approx(2 + 1 / 9, abs=1e-5)
+
     def test_dimension_one_infeasible(self):
         result = maximize_kcbs_qutrit(False, OptimizerConfig(restarts=2, seed=1), dimension=1)
         assert not result.feasible
