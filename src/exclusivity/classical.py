@@ -49,12 +49,10 @@ class DeterministicStrategy:
         ids = [m for m, _ in self.outcomes]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate measurement id in strategy")
+        object.__setattr__(self, "_by_id", dict(self.outcomes))
 
     def outcome(self, measurement_id: str) -> int:
-        for m, o in self.outcomes:
-            if m == measurement_id:
-                return o
-        raise KeyError(measurement_id)
+        return self._by_id[measurement_id]
 
     def occurs(self, event: Event) -> bool:
         """True when the strategy reproduces every assignment of the event."""

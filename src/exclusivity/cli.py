@@ -286,9 +286,10 @@ def _human_summary(command: str, payload: dict) -> str:
         )
         lines.append("  paradox comparison (p_hardy, dim, #measurements):")
         for row in payload["comparison"]:
-            p = row.get("p_hardy", row.get("p_hardy_float"))
+            p = row["p_hardy_float"]
+            p_str = "infeasible" if p is None else f"{row.get('p_hardy', p)} ({p:.6f})"
             lines.append(
-                f"    {row['paradox']:16s} {p} ({row['p_hardy_float']:.6f}) "
+                f"    {row['paradox']:16s} {p_str} "
                 f"dim={row['dimension']} #M={row['measurements']}"
             )
     return "\n".join(lines)

@@ -4,16 +4,17 @@ For an exclusivity graph G with vertex weights w, any noncontextual model
 obeys  sum_i w_i P(e_i) <= alpha_w(G)  (the weighted independence number),
 while quantum models reach up to the Lovasz number theta_w(G).  Both are
 computed exactly enough to certify the instances handled here: alpha by
-bitmask branch and bound, theta by a self-contained dual barrier method for
-the semidefinite program
+bitmask branch and bound, theta by a self-contained primal-dual
+interior-point method for the semidefinite program
 
     maximize    <J_w, X>
     subject to  tr X = 1,  X_ij = 0 for every edge (i,j),  X PSD,
 
-whose dual is  min t  s.t.  t*I + sum_edges lam_ij E_ij - J_w  PSD.  On the
-central path the matrix X(mu) = mu * S(mu)^{-1} is exactly primal feasible
-and the duality gap equals n*mu, so driving mu down yields a certified
-sandwich around theta.
+whose dual is  min t  s.t.  S = t*I + sum_edges lam_ij E_ij - J_w  PSD.  From
+exactly feasible starts, Mehrotra predictor-corrector steps along the HKM
+direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIOPT 1996) give a
+certified sandwich at every iterate: t once S passes Cholesky, and X with its
+edge entries zeroed, shifted to PSD and scaled to trace 1.
 
 Orthonormal representations of the complement (unit vector per vertex,
 adjacent vertices orthogonal) give constructive lower bounds on theta via
@@ -38,7 +39,10 @@ class GraphTooLargeError(ValueError):
 class ThetaNonConvergenceError(RuntimeError):
     """The interior-point solve did not reach the requested gap.
 
-    Carries the best bounds obtained so far in ``best_primal``/``best_dual``.
+    Raised when the iteration cap is reached, or roundoff costs the iterates
+    their definiteness, before the gap falls to ``accuracy``.  Carries the
+    best certified bounds so far in ``best_primal`` (never below alpha) and
+    ``best_dual``.
     """
 
     def __init__(self, message: str, best_primal: float, best_dual: float):
@@ -144,6 +148,11 @@ def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...
 # ---------------------------------------------------------------------------
 # Lovasz theta
 
+# Cap on the interior-point iterations of one connected solve.  The benchmark's
+# graph family reaches a 1e-7 gap in about 8 (at most 17), so the cap is only
+# reached when the iterates stall.
+THETA_MAX_ITERATIONS = 60
+
 
 @dataclass(frozen=True)
 class ThetaResult:
@@ -201,7 +210,9 @@ def lovasz_theta(
     Theta is additive over connected components, so disconnected graphs are
     solved per component (sharper and better conditioned) and reassembled.
     An isolated vertex has theta = w in closed form: certificate [[1]], gap 0
-    and no Newton steps, so an edgeless graph's theta is its exact weight sum.
+    and no iterations, so an edgeless graph's theta is its exact weight sum.
+    ``max_newton_iterations`` caps the interior-point iterations of each
+    connected component, as does ``THETA_MAX_ITERATIONS``.
     """
     n = graph.n
     if n == 0:
@@ -219,7 +230,7 @@ def lovasz_theta(
     if result.duality_gap > accuracy:
         raise ThetaNonConvergenceError(
             f"gap {result.duality_gap:.3e} above accuracy {accuracy:.1e} "
-            f"after {result.iterations} Newton iterations",
+            f"after {result.iterations} interior-point iterations",
             best_primal=result.primal_value,
             best_dual=result.dual_value,
         )
@@ -317,7 +328,7 @@ def _lovasz_theta_connected(
     ids = graph.vertex_ids()
     index = {vid: k for k, vid in enumerate(ids)}
     w = np.array([float(v.weight) for v in graph.vertices])
-    if n == 1:  # an isolated vertex: theta = w exactly, no barrier path
+    if n == 1:  # an isolated vertex: theta = w exactly, no iterations
         value = float(w[0])
         return ThetaResult(value, value, value, 0.0, np.ones((1, 1)), 0)
     sw = np.sqrt(w)
@@ -325,138 +336,125 @@ def _lovasz_theta_connected(
     # edges are unique with i < j, so each fancy-indexed entry is hit once
     I, J = np.array([(index[i], index[j]) for i, j in graph.edges]).T
     m = len(I)
+    II, IJ, JI, JJ = np.ix_(I, I), np.ix_(I, J), np.ix_(J, I), np.ix_(J, J)
+    diag = np.diag_indices(n)
     scale = max(1.0, float(np.sum(w)))
+    b = np.eye(1, 1 + m)[0]  # <A_k, X> = b_k: tr X = 1, X_ij + X_ji = 0
 
-    def dual_matrix(y: np.ndarray) -> np.ndarray:
-        S = -Jw.copy()
-        S[np.diag_indices(n)] += y[0]
-        S[I, J] += y[1:]
-        S[J, I] += y[1:]
-        return S
+    def adjoint(y: np.ndarray) -> np.ndarray:
+        """sum_k y_k A_k with A_0 = I and A_e = E_ij + E_ji."""
+        D = np.zeros((n, n))
+        D[diag] = y[0]
+        D[I, J] = D[J, I] = y[1:]
+        return D
 
-    y = np.zeros(1 + m)
-    y[0] = float(np.linalg.eigvalsh(Jw)[-1]) + 1.0
-    mu = scale
-    mu_target = accuracy / (8.0 * max(n, 1))
-    newton_total = 0
+    def constraints(Y: np.ndarray) -> np.ndarray:
+        """<A_k, Y> for every k: the trace, then Y_ij + Y_ji per edge."""
+        return np.concatenate(([np.trace(Y)], Y[I, J] + Y[J, I]))
 
-    def center(mu: float) -> None:
-        nonlocal y, newton_total
-        for _ in range(80):
-            if newton_total >= max_newton_iterations:
-                return
-            S = dual_matrix(y)
-            Sinv = np.linalg.inv(S)
-            Sinv = 0.5 * (Sinv + Sinv.T)
-            g = np.empty(1 + m)
-            g[0] = 1.0 - mu * float(np.trace(Sinv))
-            g[1:] = -2.0 * mu * Sinv[I, J]
-            H = np.empty((1 + m, 1 + m))
-            H[0, 0] = mu * float(np.sum(Sinv * Sinv))
-            Sinv2 = Sinv @ Sinv
-            H[0, 1:] = H[1:, 0] = 2.0 * mu * Sinv2[I, J]
-            # Sinv is exactly symmetric, so this block is too
-            H[1:, 1:] = 2.0 * mu * (Sinv[np.ix_(I, I)] * Sinv[np.ix_(J, J)]
-                                    + Sinv[np.ix_(I, J)] * Sinv[np.ix_(J, I)])
+    def checked_dual(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y with y_0 raised until S(y) = adjoint(y) - Jw passes Cholesky,
+        and that factor; y_0 is then a certified upper bound on theta."""
+        raised = y.copy()
+        for k in range(64):  # the last raise exceeds sum(w) >= -lambda_min(S(y))
             try:
-                step = np.linalg.solve(H, -g)
+                return raised, np.linalg.cholesky(adjoint(raised) - Jw)
             except np.linalg.LinAlgError:
-                return
-            decrement_sq = float(-g @ step)
-            alpha = 1.0
-            for _ in range(60):
-                try:
-                    np.linalg.cholesky(dual_matrix(y + alpha * step))
-                    break
-                except np.linalg.LinAlgError:
-                    alpha *= 0.5
-            else:
-                return
-            y = y + alpha * step
-            newton_total += 1
-            if decrement_sq < 1e-22 * scale * scale:
-                return
+                raised[0] = y[0] + 1e-15 * scale * 2.0**k
+        raise np.linalg.LinAlgError("no dual shift passed Cholesky")
 
-    def extract() -> tuple[float, float, np.ndarray]:
-        # X = mu * S^-1 is central-path feasible up to roundoff; repair by
-        # alternating exact edge zeroing with eigenvalue clipping (the
-        # perturbations shrink geometrically), then renormalize the trace
-        S = dual_matrix(y)
-        Sinv = np.linalg.inv(S)
-        X = mu * Sinv
-        # one round of iterative refinement on S X = mu I
-        X = X + Sinv @ (mu * np.eye(n) - S @ X)
-        X = 0.5 * (X + X.T)
-        for _ in range(6):
-            X[I, J] = X[J, I] = 0.0
-            vals, vecs = np.linalg.eigh(X)
-            if vals[0] >= -1e-14 * max(1.0, vals[-1]):
-                break
-            X = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-            X = 0.5 * (X + X.T)
+    def certified_primal(X: np.ndarray) -> tuple[float, np.ndarray]:
+        """X with its edge entries zeroed, shifted to PSD, trace 1."""
+        X = X.copy()
         X[I, J] = X[J, I] = 0.0
         lam_min = float(np.linalg.eigvalsh(X)[0])
         if lam_min < 0.0:
-            delta = -1.5 * lam_min
-            X = X + delta * np.eye(n)
-            X[I, J] = X[J, I] = 0.0
+            X[diag] -= lam_min
         X /= np.trace(X)
-        return float(np.sum(Jw * X)), float(y[0]), X
+        return float(sw @ X @ sw), X
+
+    def lifted_cholesky(M: np.ndarray) -> np.ndarray:
+        """Cholesky factor of M, lifting its diagonal by a relative 1e-14
+        where roundoff makes a degenerate optimum's singular M indefinite."""
+        try:
+            return np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return np.linalg.cholesky(M + np.diag(1e-14 * M.diagonal()))
+
+    def step_length(L_inv: np.ndarray, D: np.ndarray) -> float:
+        """0.95 of the largest t keeping L L^T + t D positive definite, at
+        most 1: the boundary is t = -1 / lambda_min(L^-1 D L^-T)."""
+        lam_min = float(np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0])
+        return 1.0 if lam_min >= -0.95 else -0.95 / lam_min
+
+    # exactly feasible starts: X = I/n, and S(y) = (sum(w) + 1) I - Jw > 0
+    X = np.eye(n) / n
+    y = np.zeros(1 + m)
+    y[0] = float(np.linalg.eigvalsh(Jw)[-1]) + 1.0
 
     # the independent-set indicator is an exact rank-one feasible point with
-    # value alpha_w; it beats the repaired central X at degenerate optima
-    # where theta == alpha and the extraction conditioning is poor
+    # value alpha_w, a floor for the primal bound
     _, alpha_witness = independence_number(graph)
     u = np.where(np.isin(ids, alpha_witness), sw, 0.0)
     norm_sq = float(u @ u)
-    X_alpha = np.outer(u, u) / norm_sq if norm_sq > 0 else np.eye(n) / n
-    primal_alpha = float(np.sum(Jw * X_alpha))
+    best_X = np.outer(u, u) / norm_sq if norm_sq > 0 else np.eye(n) / n
+    primal = float(sw @ best_X @ sw)
+    dual = math.inf
 
-    best = (primal_alpha, float("inf"), X_alpha)
-    retries = 0
-    # extract a candidate certificate at every late stage: the extraction
-    # noise varies along the path and the best sample wins
-    extract_from = 1e-4 * scale
-    # The loop needs at most max_passes passes.  mu starts at scale and each
-    # pass sets it to max(factor * mu, mu_target) with factor <= 0.4, so it
-    # stays within [mu_target * 1e-3, max(scale, mu_target)] (the 3 retries
-    # cut the target by 10 each).  A pass that clamps mu to the target is
-    # followed by a check pass (mu at the target), which breaks or spends a
-    # retry: at most 4 of each.  Every other pass divides mu by 2.5 or more.
-    max_passes = 8 + math.ceil(
-        math.log(max(scale, mu_target) / (mu_target * 1e-3)) / math.log(2.5)
-    )
-    for _ in range(max_passes):
-        center(mu)
-        late = mu <= extract_from
-        if late or mu <= mu_target * 1.0000001:
-            primal, dual, X = extract()
-            if primal > best[0]:
-                best = (primal, min(dual, best[1]), X)
-            else:
-                best = (best[0], min(dual, best[1]), best[2])
-        if mu <= mu_target * 1.0000001:
-            if best[1] - best[0] <= accuracy:
-                break
-            # smaller mu shrinks the central-path gap but worsens the
-            # conditioning of the extraction, so only retry a few times
-            if retries >= 3 or newton_total >= max_newton_iterations:
-                break
-            retries += 1
-            mu_target *= 0.1
-        # descend gently through the extraction sweet spot for more samples
-        factor = 0.4 if mu <= 1e-5 * scale else 0.15
-        mu = max(factor * mu, mu_target)
+    cap = min(max_newton_iterations, THETA_MAX_ITERATIONS)
+    iterations = 0
+    for iterations in range(cap + 1):
+        y, LS = checked_dual(y)
+        dual = min(dual, float(y[0]))
+        candidate, X_certified = certified_primal(X)
+        if candidate > primal:
+            primal, best_X = candidate, X_certified
+        if dual - primal <= accuracy or iterations == cap:
+            break
+        LS_inv = np.linalg.inv(LS)
+        Z = LS_inv.T @ LS_inv
+        S = adjoint(y) - Jw
+        mu = float(np.sum(X * S)) / n
+        # HKM Schur complement M_kl = tr(A_k X A_l Z), with edge block
+        # X_jk Z_li + X_jl Z_ki + X_ik Z_lj + X_il Z_kj for e = (i, j),
+        # f = (k, l); one Cholesky factor serves both solves below
+        XZ = X @ Z
+        M = np.empty((1 + m, 1 + m))
+        M[0, 0] = np.sum(X * Z)
+        M[0, 1:] = M[1:, 0] = XZ[I, J] + XZ[J, I]
+        M[1:, 1:] = X[JI] * Z[IJ] + X[JJ] * Z[II] + X[II] * Z[JJ] + X[IJ] * Z[JI]
+        try:
+            LX, LM = np.linalg.cholesky(X), lifted_cholesky(M)
+        except np.linalg.LinAlgError:
+            break  # roundoff cost definiteness; the best bounds so far stand
+        LX_inv, LM_inv = np.linalg.inv(LX), np.linalg.inv(LM)
 
-    primal, dual, X = best
-    gap = dual - primal
+        def direction(RZ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+            """dX = (R - X dS) Z, symmetrized, solves dX S + X dS = R; the
+            rows A(dX) = b - A(X) also undo the primal drift of roundoff."""
+            dy = LM_inv.T @ (LM_inv @ (constraints(RZ + X) - b))
+            dS = adjoint(dy)
+            dX = RZ - X @ dS @ Z
+            dX = 0.5 * (dX + dX.T)
+            return dy, dS, dX, step_length(LX_inv, dX), step_length(LS_inv, dS)
+
+        # Mehrotra: the affine predictor (R = -XS), then the corrector that
+        # centres by sigma * mu and cancels the second-order term dX dS
+        _, dS, dX, tp, td = direction(-X)
+        mu_aff = float(np.sum((X + tp * dX) * (S + td * dS))) / n
+        sigma = min(1.0, mu_aff / mu) ** 3
+        G = dX @ dS @ Z
+        dy, _, dX, tp, td = direction(sigma * mu * Z - X - G)
+        X = X + tp * dX
+        y = y + td * dy
+
     return ThetaResult(
         value=0.5 * (primal + dual),
         primal_value=primal,
         dual_value=dual,
-        duality_gap=gap,
-        primal_certificate=X,
-        iterations=newton_total,
+        duality_gap=dual - primal,
+        primal_certificate=best_X,
+        iterations=iterations,
     )
 
 

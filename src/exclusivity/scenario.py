@@ -139,12 +139,10 @@ class Scenario:
                 raise ValueError("a context may hold at most one measurement per party")
             norm.append(tuple(sorted(ctx)))
         object.__setattr__(self, "contexts", tuple(norm))
+        object.__setattr__(self, "_by_id", by_id)
 
     def measurement(self, measurement_id: str) -> Measurement:
-        for m in self.measurements:
-            if m.id == measurement_id:
-                return m
-        raise KeyError(measurement_id)
+        return self._by_id[measurement_id]
 
     def context_events(self, ctx: tuple[str, ...]) -> list[Event]:
         """All outcome assignments of one context, outcome-lexicographic."""
@@ -264,6 +262,7 @@ class ExclusivityGraph:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices, key=lambda v: v.id)))
         object.__setattr__(self, "edges", tuple(sorted(norm)))
         object.__setattr__(self, "_edge_set", frozenset(norm))
+        object.__setattr__(self, "_by_id", {v.id: v for v in self.vertices})
 
     @property
     def n(self) -> int:
@@ -273,10 +272,10 @@ class ExclusivityGraph:
         return tuple(v.id for v in self.vertices)
 
     def vertex(self, vid: int) -> GraphVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise UnknownVertexError(vid)
+        try:
+            return self._by_id[vid]
+        except KeyError:
+            raise UnknownVertexError(vid) from None
 
     def event_of(self, vid: int) -> Optional[Event]:
         return self.vertex(vid).event

@@ -203,6 +203,20 @@ class TestBehaviorValidation:
             behavior.marginal("A1", 0, ("A0", "B0"))
 
 
+class TestStrategyLookup:
+    def test_outcome_by_id(self):
+        s = DeterministicStrategy((("B0", 1), ("A0", 0)))
+        assert s.outcome("A0") == 0 and s.outcome("B0") == 1
+        with pytest.raises(KeyError):
+            s.outcome("A1")
+
+    def test_lookup_table_stays_out_of_equality(self):
+        s = DeterministicStrategy((("B0", 1), ("A0", 0)))
+        t = DeterministicStrategy((("A0", 0), ("B0", 1)))
+        assert s == t and hash(s) == hash(t)
+        assert "_by_id" not in str(strategy_to_json(s))
+
+
 class TestJson:
     def test_strategy_round_trip(self):
         s = DeterministicStrategy((("A0", 1), ("A1", 0), ("B0", 1), ("B1", 1)))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -204,6 +205,17 @@ class TestTablesCommand:
         assert rows["pentagon-qutrit"]["p_hardy_float"] == pytest.approx(1 / 9, abs=1e-3)
         assert rows["hardy"]["p_hardy_float"] == pytest.approx(0.09017, abs=1e-3)
         assert results["config"] == {"restarts": 6, "seed": 2}
+
+    def test_infeasible_run_prints_the_table_and_exits_1(self, monkeypatch, capsys):
+        real = optimize.maximize_kcbs_qutrit
+
+        def infeasible(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), feasible=False)
+
+        monkeypatch.setattr(optimize, "maximize_kcbs_qutrit", infeasible)
+        assert main(["tables", "--restarts", "2", "--seed", "1"]) == 1
+        rows = [line for line in capsys.readouterr().out.splitlines() if "pentagon-qutrit" in line]
+        assert len(rows) == 1 and "infeasible" in rows[0]
 
     def test_versions_and_digest_present(self, tmp_path):
         code, report = run(tmp_path, "graph", "pentagon")

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from exclusivity import quantum
+from exclusivity import quantum, scenario
 from exclusivity.graphs import (
     GraphTooLargeError,
     ThetaNonConvergenceError,
@@ -23,6 +25,18 @@ from exclusivity.graphs import (
 from exclusivity.scenario import ExclusivityGraph, GraphVertex, bell_event
 
 SQRT5 = math.sqrt(5)
+
+
+def paley13():
+    residues = {(k * k) % 13 for k in range(1, 13)}
+    return ExclusivityGraph(
+        vertices=tuple(GraphVertex(id=i) for i in range(13)),
+        edges=tuple((i, j) for i in range(13) for j in range(i + 1, 13) if (j - i) % 13 in residues),
+    )
+
+
+def odd_cycle_theta(n):
+    return n * math.cos(math.pi / n) / (1 + math.cos(math.pi / n))
 
 
 def random_graph(rng, n, p):
@@ -181,12 +195,7 @@ class TestLovaszTheta:
 
     def test_k16_and_paley13(self):
         assert abs(lovasz_theta(complete_graph(16)).value - 1.0) <= 1e-6
-        residues = {(k * k) % 13 for k in range(1, 13)}
-        paley = ExclusivityGraph(
-            vertices=tuple(GraphVertex(id=i) for i in range(13)),
-            edges=tuple((i, j) for i in range(13) for j in range(i + 1, 13) if (j - i) % 13 in residues),
-        )
-        assert abs(lovasz_theta(paley).value - math.sqrt(13)) <= 1e-6
+        assert abs(lovasz_theta(paley13()).value - math.sqrt(13)) <= 1e-6
 
     def test_zero_weight_vertex_has_trace_one_certificate(self):
         result = lovasz_theta(ExclusivityGraph(vertices=(GraphVertex(id=0, weight=0),), edges=()))
@@ -200,6 +209,91 @@ class TestLovaszTheta:
             alpha, _ = independence_number(g)
             result = lovasz_theta(g)
             assert alpha <= result.value + result.duality_gap + 1e-9
+
+
+class TestThetaInteriorPoint:
+    @pytest.mark.parametrize("name", ["K16", "paley13", "C5+C7", "bell222", "co-bell222"])
+    def test_few_iterations(self, name):
+        bell = scenario.build_exclusivity_graph(scenario.bell_222())
+        c5_c7 = ExclusivityGraph(
+            vertices=tuple(GraphVertex(id=i) for i in range(12)),
+            edges=cycle_graph(5).edges + tuple((5 + i, 5 + (i + 1) % 7) for i in range(7)),
+        )
+        graph = {
+            "K16": complete_graph(16), "paley13": paley13(), "C5+C7": c5_c7,
+            "bell222": bell, "co-bell222": complement(bell),
+        }[name]
+        assert lovasz_theta(graph).iterations <= 30
+
+    def test_one_iteration_raises_above_the_alpha_floor(self):
+        with pytest.raises(ThetaNonConvergenceError) as err:
+            lovasz_theta(cycle_graph(5), max_newton_iterations=1)
+        assert 2.0 - 1e-12 <= err.value.best_primal <= err.value.best_dual
+
+    def test_connected_graph_with_zero_and_fraction_weights(self):
+        # without the weight-0 vertex the pentagon is the path 1-2-3-4,
+        # a perfect graph, so theta equals alpha = w_2 + w_4 = 13/6
+        weights = (0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2))
+        g = ExclusivityGraph(
+            vertices=tuple(GraphVertex(id=i, weight=w) for i, w in enumerate(weights)),
+            edges=cycle_graph(5).edges,
+        )
+        alpha, _ = independence_number(g)
+        assert alpha == Fraction(13, 6)
+        result = lovasz_theta(g)
+        assert result.iterations > 0
+        assert abs(result.value - 13 / 6) <= 1e-7
+        X = result.primal_certificate
+        assert np.linalg.eigvalsh(X)[0] >= -1e-9 and abs(np.trace(X) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["C5", "C7", "paley13", "chsh", "co-C7"])
+    def test_sandwich_brackets_the_closed_form(self, name, chsh_graph):
+        graph, closed_form = {
+            "C5": (cycle_graph(5), SQRT5),
+            "C7": (cycle_graph(7), odd_cycle_theta(7)),
+            "paley13": (paley13(), math.sqrt(13)),
+            "chsh": (chsh_graph, 2 + math.sqrt(2)),
+            "co-C7": (complement(cycle_graph(7)), 7 / odd_cycle_theta(7)),
+        }[name]
+        result = lovasz_theta(graph)
+        assert result.primal_value - 1e-12 <= closed_form <= result.dual_value + 1e-12
+
+
+@st.composite
+def weighted_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    unit = draw(st.booleans())
+    weight = st.one_of(
+        st.just(0), st.just(1), st.fractions(min_value=0, max_value=3, max_denominator=7)
+    )
+    weights = [1] * n if unit else draw(st.lists(weight, min_size=n, max_size=n))
+    graph = ExclusivityGraph(
+        vertices=tuple(GraphVertex(id=i, weight=w) for i, w in enumerate(weights)),
+        edges=tuple(e for e, keep in zip(pairs, present) if keep),
+    )
+    return graph, unit
+
+
+class TestThetaCertificates:
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs())
+    def test_certificates_hold(self, case):
+        graph, unit = case
+        result = lovasz_theta(graph)
+        X = result.primal_certificate
+        assert np.linalg.eigvalsh(X)[0] >= -1e-9
+        assert abs(np.trace(X) - 1.0) <= 1e-9
+        for i, j in graph.edges:
+            assert X[i, j] == 0.0 and X[j, i] == 0.0
+        root = np.sqrt([float(v.weight) for v in graph.vertices])
+        assert abs(root @ X @ root - result.primal_value) <= 1e-9 * max(1.0, result.primal_value)
+        alpha, _ = independence_number(graph)
+        assert float(alpha) <= result.dual_value + 1e-12
+        if unit:
+            co_dual = lovasz_theta(complement(graph)).dual_value
+            assert result.dual_value * co_dual >= graph.n - 1e-9
 
 
 class TestComplement:

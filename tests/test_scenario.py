@@ -259,6 +259,29 @@ class TestValidation:
             GraphVertex(id=0, weight=weight)
 
 
+class TestLookups:
+    def test_measurement_by_id(self, bell222):
+        for m in bell222.measurements:
+            assert bell222.measurement(m.id) is m
+        with pytest.raises(KeyError):
+            bell222.measurement("Z9")
+
+    def test_vertex_by_id(self, graph222):
+        for v in graph222.vertices:
+            assert graph222.vertex(v.id) is v
+        with pytest.raises(UnknownVertexError):
+            graph222.vertex(999)
+
+    def test_lookup_tables_stay_out_of_equality_and_json(self, bell222, graph222):
+        from exclusivity.scenario import ExclusivityGraph
+
+        shuffled = ExclusivityGraph(vertices=graph222.vertices[::-1], edges=graph222.edges[::-1])
+        assert shuffled == graph222 and hash(shuffled) == hash(graph222)
+        assert "_by_id" not in str(graph_to_json(graph222))
+        assert "_by_id" not in str(scenario_to_json(bell222))
+        assert hash(scenario_from_json(scenario_to_json(bell222))) == hash(bell222)
+
+
 class TestJson:
     def test_graph_round_trip(self, chsh_graph):
         assert graph_from_json(graph_to_json(chsh_graph)) == chsh_graph
