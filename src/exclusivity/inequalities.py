@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Union
 
 from . import graphs
 from .classical import Behavior
@@ -140,13 +140,6 @@ def s_chsh(behavior: Behavior) -> Number:
     return sum(behavior.probability(e) for e in chsh_events())
 
 
-def s_kcbs(pentagon_probs: Sequence[Number]) -> Number:
-    """Plain five-term sum of pentagon vertex probabilities (bound 2)."""
-    if len(pentagon_probs) != 5:
-        raise ValueError(f"expected 5 probabilities, got {len(pentagon_probs)}")
-    return sum(pentagon_probs)
-
-
 def edge_correlators(
     vertex_probs: Mapping[int, Number], graph: ExclusivityGraph
 ) -> dict[tuple[int, int], Number]:
@@ -209,15 +202,6 @@ def correlator_inequality_value(
         closed_form_valid=closed_form_valid,
         edge_values=tuple(sorted(correlators.items())),
     )
-
-
-def generalized_vertex_sum_bound(
-    vertex_probs: Mapping[int, Number], graph: ExclusivityGraph
-) -> tuple[Number, int]:
-    """(sum_i p(1|i), independence number): value versus classical bound."""
-    value: Number = sum(vertex_probs[v] for v in graph.vertex_ids())
-    alpha, _ = graphs.independence_number(graph)
-    return value, alpha
 
 
 def tsirelson_model() -> BellLocalModel:

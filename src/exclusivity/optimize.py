@@ -16,6 +16,17 @@ can overstate the true feasible supremum by orders of magnitude.  Driving
 the residuals to ~1e-16 first and only then reading off the objective
 removes that bias.
 
+A system with fewer residuals than parameters (Hardy 6 x 8, free and
+constrained KCBS 5 x 10 and 7 x 10) is polished over the row space of its
+Jacobian at the point the stages hand over: x = x0 + B z, with B an
+orthonormal basis of that space from the SVD and z0 = 0.  scipy's ``trf``
+tries a full Gauss-Newton step only when there are at least as many
+residuals as parameters.  With fewer, every step is a Levenberg step on
+the trust-region boundary, whose radius starts at |x0| and then halves, so
+the polish would take 30-50 evaluations where Gauss-Newton takes a few.  In
+z the system is square and the first radius is 1.  A system with at least
+as many residuals as parameters (CHSH-local 8 x 8) is polished on x itself.
+
 A task may polish on a different residual system with the same zero set.
 The two-qubit tasks polish the zero events' amplitudes (real and imaginary
 parts) rather than their probabilities: a probability is |amplitude|^2, so
@@ -106,6 +117,10 @@ class RestartSummary:
     feasible: bool
     classification: Optional[Classification]
     stage_values: tuple[float, ...]
+    # evaluations and status of the feasibility polish (scipy's
+    # least_squares ``nfev`` and ``status``; status 0 is the evaluation cap)
+    polish_evaluations: int
+    polish_status: int
 
 
 @dataclass(frozen=True)
@@ -139,6 +154,8 @@ class OptimizationResult:
                     "max_residual": s.max_residual,
                     "feasible": s.feasible,
                     "classification": s.classification.value if s.classification else None,
+                    "polish_evaluations": s.polish_evaluations,
+                    "polish_status": s.polish_status,
                 }
                 for s in self.restart_summaries
             ],
@@ -164,24 +181,26 @@ def _multistart(
     (residuals, Jacobian) the feasibility polish drives to zero, by default
     the task's own residuals.  ``describe`` renders the winning parameters
     for the result payload.
+
+    The polish is one ``least_squares`` call per restart, over the row space
+    of the start Jacobian when the polish system has fewer residuals than
+    parameters (see the module docstring); its ``nfev`` and ``status`` go
+    into the restart's summary.
     """
     if polish_system is None:
         def polish_system(xx):
             return evaluate(xx)[2:]
 
-    # least_squares asks for the Jacobian at the point whose residuals it
-    # has just accepted; hand back the one computed with them
-    last: list = [None, None]
+    # least_squares first asks for the residuals at the start, whose
+    # Jacobian has just given the row space, and later for the Jacobian at
+    # the point whose residuals it has just accepted: hand back the ones
+    # already computed there
+    last: list = [None, None, None]
 
-    def polish_residuals(xx: np.ndarray) -> np.ndarray:
-        residuals, jacobian = polish_system(xx)
-        last[:] = xx.copy(), jacobian
-        return residuals
-
-    def polish_jacobian(xx: np.ndarray) -> np.ndarray:
-        if last[0] is not None and np.array_equal(xx, last[0]):
-            return last[1]
-        return polish_system(xx)[1]
+    def polish_at(xx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if last[0] is None or not np.array_equal(xx, last[0]):
+            last[:] = xx.copy(), *polish_system(xx)
+        return last[1], last[2]
 
     summaries: list[RestartSummary] = []
     best_key = None
@@ -206,13 +225,31 @@ def _multistart(
                 options={"maxiter": STAGE_MAX_ITERATIONS, "ftol": 1e-15},
             ).x
             stage_values.append(evaluate(x)[0])
+        # fewer residuals than parameters: polish over the row space of the
+        # start Jacobian, x = x0 + B z with B orthonormal (n x m) and z0 = 0
+        # (see the module docstring)
+        start_jacobian = polish_at(x)[1]
+        m, n = start_jacobian.shape
+        origin = x
+        basis = np.linalg.svd(start_jacobian, full_matrices=False)[2].T if m < n else None
+
+        def chart(z: np.ndarray) -> np.ndarray:
+            return z if basis is None else origin + basis @ z
+
+        def polish_jacobian(z: np.ndarray) -> np.ndarray:
+            jacobian = polish_at(chart(z))[1]
+            return jacobian if basis is None else jacobian @ basis
+
         # tolerances at the floating-point floor: the polish runs until the
         # residuals stop shrinking, not until scipy's 1e-8 defaults
-        x = least_squares(
-            polish_residuals, x, jac=polish_jacobian,
+        polish = least_squares(
+            lambda z: polish_at(chart(z))[0],
+            x if basis is None else np.zeros(m),
+            jac=polish_jacobian,
             xtol=1e-15, ftol=1e-15, gtol=1e-15,
             max_nfev=POLISH_MAX_EVALUATIONS,
-        ).x
+        )
+        x = chart(polish.x)
         value, _, residuals, _ = evaluate(x)
         max_residual = float(np.max(np.abs(residuals))) if residuals.size else 0.0
         feasible = max_residual <= FEASIBILITY_TOL
@@ -225,6 +262,8 @@ def _multistart(
                 feasible=feasible,
                 classification=cls,
                 stage_values=tuple(stage_values),
+                polish_evaluations=int(polish.nfev),
+                polish_status=int(polish.status),
             )
         )
         key = (feasible, value, -index)

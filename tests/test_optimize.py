@@ -108,6 +108,9 @@ class TestChshParadox:
         assert data["feasible"] is True
         assert len(data["restarts"]) == 8
         assert data["classification"] in ("compatible_measurements", "product_state")
+        for entry, summary in zip(data["restarts"], chsh_result.restart_summaries):
+            assert entry["polish_evaluations"] == summary.polish_evaluations > 0
+            assert entry["polish_status"] == summary.polish_status != 0
 
 
 class TestAppendixDCheck:
@@ -229,6 +232,49 @@ class TestPolish:
         maximize_hardy_local(OptimizerConfig(restarts=2, seed=5))
         assert len(points) > 2
         assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+    @pytest.mark.parametrize(
+        "maximize, mean_evaluations",
+        [
+            (maximize_hardy_local, 10),
+            (lambda config: maximize_kcbs_qutrit(False, config), 10),
+            (lambda config: maximize_kcbs_qutrit(True, config), 20),
+        ],
+        ids=["hardy", "kcbs-free", "kcbs-constrained"],
+    )
+    def test_underdetermined_polish_takes_gauss_newton_steps(
+        self, monkeypatch, maximize, mean_evaluations
+    ):
+        # these systems have fewer residuals than parameters (6 x 8, 5 x 10
+        # and 7 x 10); over all parameters trf takes only Levenberg steps
+        # and needs about 52, 39 and 25 evaluations a restart at this seed
+        results = []
+        least_squares = optimize.least_squares
+
+        def recorded(*args, **kwargs):
+            results.append(least_squares(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(optimize, "least_squares", recorded)
+        result = maximize(OptimizerConfig(restarts=10, seed=5))
+        evaluations = [r.nfev for r in results]
+        assert len(evaluations) == 10
+        assert np.mean(evaluations) <= mean_evaluations
+        assert max(evaluations) < optimize.POLISH_MAX_EVALUATIONS
+        assert [s.polish_evaluations for s in result.restart_summaries] == evaluations
+        assert [s.polish_status for s in result.restart_summaries] == [r.status for r in results]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeat_calls_are_bit_identical(self, seed):
+        # a polish by Levenberg-Marquardt on zero-padded rows gave two
+        # different answers from one start at these seeds
+        config = OptimizerConfig(restarts=14, seed=seed)
+        first, second = (maximize_kcbs_qutrit(True, config) for _ in range(2))
+        assert first.to_json() == second.to_json()
+        assert first.best_raw == second.best_raw
+        assert [s.stage_values for s in first.restart_summaries] == [
+            s.stage_values for s in second.restart_summaries
+        ]
 
 
 def assert_matches_central_differences(analytic, f, x, h=1e-6, tol=1e-8):

@@ -23,10 +23,31 @@ from exclusivity.quantum import (
     contextual_chsh_graph,
     derive_chsh_vertex_event_mapping,
     ep_cover_check,
-    measurement_direction_marginal,
     model_vertex_probabilities,
 )
 from exclusivity.scenario import are_exclusive, bell_222, bell_event, enumerate_events
+
+
+def measurement_direction_marginal(model, party, setting, outcome):
+    """Direct single-party marginal, bypassing the joint distribution."""
+    psi = np.array(model.state_vector().floats).reshape(2, 2)
+    if setting == 0:
+        ket = np.array([1.0, 0.0], dtype=complex)
+    elif party == "A":
+        ket = np.array(
+            [math.cos(model.theta_a1 / 2), math.sin(model.theta_a1 / 2) * cmath.exp(1j * model.phi_a1)]
+        )
+    else:
+        ket = np.array(
+            [math.cos(model.theta_b1 / 2), math.sin(model.theta_b1 / 2) * cmath.exp(1j * model.phi_b1)]
+        )
+    if outcome == 1:
+        ket = np.array([ket[1].conjugate(), -ket[0]])
+    if party == "A":
+        collapsed = ket.conjugate() @ psi
+    else:
+        collapsed = psi @ ket.conjugate()
+    return float(np.sum(np.abs(collapsed) ** 2))
 
 
 def bell_events(*labels):
