@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 from .scenario import (
     Event,
@@ -133,28 +133,6 @@ def behavior_from_strategy(strategy: DeterministicStrategy, scenario: Scenario) 
     """Indicator behavior: exactly one event per context has probability 1."""
     probs = {e: (1 if strategy.occurs(e) else 0) for e in enumerate_events(scenario)}
     return Behavior(scenario=scenario, probabilities=probs)
-
-
-def classical_max(
-    events: Sequence[Event],
-    scenario: Scenario,
-    weights: Optional[Sequence[Weight]] = None,
-) -> tuple[Weight, DeterministicStrategy]:
-    """Maximum of sum_i w_i P(e_i) over deterministic strategies.
-
-    For unit weights this equals the independence number of the induced
-    exclusivity graph.  Ties keep the first strategy in canonical order.
-    """
-    weights = [1] * len(events) if weights is None else list(weights)
-    if len(weights) != len(events):
-        raise ValueError("one weight per event required")
-    best_value: Weight = -1
-    best_strategy = None
-    for strategy in enumerate_deterministic(scenario):
-        value: Weight = sum(w for e, w in zip(events, weights) if strategy.occurs(e))
-        if value > best_value:
-            best_value, best_strategy = value, strategy
-    return best_value, best_strategy
 
 
 def classical_paradox_max(

@@ -200,19 +200,15 @@ def _connected_components(graph: ExclusivityGraph) -> list[list[int]]:
     return components
 
 
-def lovasz_theta(
-    graph: ExclusivityGraph,
-    accuracy: float = 1e-7,
-    max_newton_iterations: int = 5000,
-) -> ThetaResult:
+def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult:
     """Weighted Lovasz number with duality gap at most ``accuracy``.
 
     Theta is additive over connected components, so disconnected graphs are
     solved per component (sharper and better conditioned) and reassembled.
     An isolated vertex has theta = w in closed form: certificate [[1]], gap 0
     and no iterations, so an edgeless graph's theta is its exact weight sum.
-    ``max_newton_iterations`` caps the interior-point iterations of each
-    connected component, as does ``THETA_MAX_ITERATIONS``.
+    ``THETA_MAX_ITERATIONS`` caps the interior-point iterations of each
+    connected component.
     """
     n = graph.n
     if n == 0:
@@ -224,9 +220,9 @@ def lovasz_theta(
 
     components = _connected_components(graph)
     if len(components) > 1:
-        result = _theta_from_components(graph, components, accuracy, max_newton_iterations)
+        result = _theta_from_components(graph, components, accuracy)
     else:
-        result = _lovasz_theta_connected(graph, accuracy, max_newton_iterations)
+        result = _lovasz_theta_connected(graph, accuracy)
     if result.duality_gap > accuracy:
         raise ThetaNonConvergenceError(
             f"gap {result.duality_gap:.3e} above accuracy {accuracy:.1e} "
@@ -271,10 +267,7 @@ def _combine_certificates(
 
 
 def _theta_from_components(
-    graph: ExclusivityGraph,
-    components: list[list[int]],
-    accuracy: float,
-    max_newton_iterations: int,
+    graph: ExclusivityGraph, components: list[list[int]], accuracy: float
 ) -> ThetaResult:
     """Theta per component (isolated vertices in closed form), summed."""
     order: list[int] = []
@@ -289,9 +282,7 @@ def _theta_from_components(
             vertices=tuple(v for v in graph.vertices if v.id in keep),
             edges=tuple(e for e in graph.edges if e[0] in keep),
         )
-        part = _lovasz_theta_connected(
-            sub, accuracy / len(components), max_newton_iterations
-        )
+        part = _lovasz_theta_connected(sub, accuracy / len(components))
         sw_part = np.sqrt([float(v.weight) for v in sub.vertices])
         X_accum, primal_accum = _combine_certificates(
             X_accum, sw_accum, primal_accum,
@@ -319,11 +310,7 @@ def _theta_from_components(
     )
 
 
-def _lovasz_theta_connected(
-    graph: ExclusivityGraph,
-    accuracy: float,
-    max_newton_iterations: int,
-) -> ThetaResult:
+def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaResult:
     n = graph.n
     ids = graph.vertex_ids()
     index = {vid: k for k, vid in enumerate(ids)}
@@ -401,15 +388,14 @@ def _lovasz_theta_connected(
     primal = float(sw @ best_X @ sw)
     dual = math.inf
 
-    cap = min(max_newton_iterations, THETA_MAX_ITERATIONS)
     iterations = 0
-    for iterations in range(cap + 1):
+    for iterations in range(THETA_MAX_ITERATIONS + 1):
         y, LS = checked_dual(y)
         dual = min(dual, float(y[0]))
         candidate, X_certified = certified_primal(X)
         if candidate > primal:
             primal, best_X = candidate, X_certified
-        if dual - primal <= accuracy or iterations == cap:
+        if dual - primal <= accuracy or iterations == THETA_MAX_ITERATIONS:
             break
         LS_inv = np.linalg.inv(LS)
         Z = LS_inv.T @ LS_inv
@@ -536,13 +522,11 @@ class OrthonormalityReport:
 
 
 def verify_orthonormal_representation(
-    graph: ExclusivityGraph,
-    rep: OrthonormalRepresentation,
-    float_tol: float = 1e-9,
+    graph: ExclusivityGraph, rep: OrthonormalRepresentation
 ) -> OrthonormalityReport:
     """Check unit norms and edge orthogonality of a representation.
 
-    Exact vectors are checked exactly; float vectors within ``float_tol``.
+    Exact vectors are checked exactly; float vectors within 1e-9.
     An empty report means the representation is valid for the graph.
     """
     missing = [vid for vid in graph.vertex_ids() if vid not in rep.vectors]
@@ -556,7 +540,7 @@ def verify_orthonormal_representation(
                 unit.append((vid, abs(float(v.norm_sq()) - 1.0)))
         else:
             residual = abs(float(v.norm_sq()) - 1.0)
-            if residual > float_tol:
+            if residual > 1e-9:
                 unit.append((vid, residual))
     edge = []
     for i, j in graph.edges:
@@ -566,16 +550,12 @@ def verify_orthonormal_representation(
                 edge.append(((i, j), abs(u.inner(v))))
         else:
             overlap = abs(u.inner(v))
-            if overlap > float_tol:
+            if overlap > 1e-9:
                 edge.append(((i, j), overlap))
     return OrthonormalityReport(unit_violations=tuple(unit), edge_violations=tuple(edge))
 
 
-def theta_lower_bound(
-    graph: ExclusivityGraph,
-    rep: OrthonormalRepresentation,
-    validate: bool = True,
-) -> Weight:
+def theta_lower_bound(graph: ExclusivityGraph, rep: OrthonormalRepresentation) -> Weight:
     """sum_i w_i |<v_i|psi>|^2 for the representation's handle.
 
     Any valid representation keeps this below theta of the graph, so the
@@ -584,10 +564,9 @@ def theta_lower_bound(
     """
     if rep.handle is None:
         raise ValueError("representation has no handle vector")
-    if validate:
-        report = verify_orthonormal_representation(graph, rep)
-        if not report.valid:
-            raise ValueError(f"invalid representation: {report.to_json()}")
+    report = verify_orthonormal_representation(graph, rep)
+    if not report.valid:
+        raise ValueError(f"invalid representation: {report.to_json()}")
     total: Weight = 0
     for v in graph.vertices:
         p = rep.vectors[v.id].born(rep.handle)

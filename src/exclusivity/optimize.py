@@ -46,9 +46,10 @@ hyperspherical magnitudes (chi1, chi2, chi3) and the |11> phase, plus Bloch
 angles for the second setting of each party (8 parameters total).  The
 remaining state phases are removable by local diagonal unitaries that leave
 the pinned first settings alone, so nothing is lost.  Every event amplitude
-is u^T conj(psi) v, a trigonometric polynomial in these parameters; the
-pentagon task's vectors come from spherical coordinates, so its inner
-products and saturation sums are trigonometric polynomials too.
+is u^T conj(psi) v, with u and v from ``quantum``'s table of outcome kets:
+a trigonometric polynomial in these parameters.  The pentagon task's
+vectors come from spherical coordinates, so its inner products and
+saturation sums are trigonometric polynomials too.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .quantum import BellLocalModel, _bell_event_indices, bell_event_probabilities
+from .quantum import BellLocalModel, _bell_ket_indices, _setting_kets, bell_event_probabilities
 from .scenario import Event, bell_event
 
 TAU = 2 * math.pi
@@ -309,33 +310,6 @@ def _state_and_derivatives(x: np.ndarray) -> np.ndarray:
         ],
         dtype=complex,
     ).reshape(5, 4)
-
-
-def _setting_kets(theta: float, phi: float) -> np.ndarray:
-    """Outcome kets of one party and their derivatives, shape (3, 4, 2).
-
-    Layer 0 holds the kets, indexed by 2*outcome + setting; layers 1 and 2
-    their derivatives by theta and phi (setting 0 does not depend on them).
-    Same conventions as ``quantum._bell_probabilities``: setting 0 is the
-    computational basis with outcome 1 as -|1>, setting 1 has outcome-0 ket
-    cos(t/2)|0> + e^{i p} sin(t/2)|1> and its conj-swapped complement.
-    """
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    e = cmath.exp(1j * phi)
-    ec = e.conjugate()
-    return np.array(
-        [
-            1, 0, c, s * e, 0, -1, s * ec, -c,
-            0, 0, -s / 2, c / 2 * e, 0, 0, c / 2 * ec, s / 2,
-            0, 0, 0, 1j * s * e, 0, 0, -1j * s * ec, 0,
-        ],
-        dtype=complex,
-    ).reshape(3, 4, 2)
-
-
-def _bell_ket_indices(events: Sequence[Event]) -> np.ndarray:
-    """(Alice ket, Bob ket) rows for ``_bell_amplitudes``: 2*outcome + setting."""
-    return np.array([(2 * a + x, 2 * b + y) for a, b, x, y in map(_bell_event_indices, events)])
 
 
 # Layer pairs (Alice, Bob) of ``_setting_kets`` multiplied in

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence, Union
 
 from .classical import Behavior
@@ -82,11 +82,6 @@ class ParadoxSpec:
     zero_events: tuple[Event, ...]
     positive_events: tuple[Event, ...]
     saturation_sets: tuple[tuple[Event, ...], ...]
-
-    def all_events(self) -> tuple[Event, ...]:
-        return tuple(
-            chain(self.zero_events, self.positive_events, *self.saturation_sets)
-        )
 
 
 def _validate_bell_saturations(spec: ParadoxSpec) -> None:

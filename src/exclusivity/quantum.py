@@ -18,11 +18,17 @@ c e^{i phi_c}|10> + d e^{i phi_d}|11>  with the first measurement of each
 party pinned to the computational basis (a harmless local-unitary gauge) and
 the second parameterized on the Bloch sphere.  The parameterized kets are the
 outcome-0 eigenvectors; outcome 1 projects on their orthogonal complements.
+This module is the only one that knows that convention: ``_setting_kets``
+tabulates each party's outcome kets (row 2*outcome + setting, with their
+angle derivatives) and ``_bell_ket_indices`` maps 2-2-2 events to rows.
+``bell_event_probabilities`` reads its probabilities |u^T conj(psi) v|^2
+from that table, and the optimizer builds its event amplitudes from it.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,11 +144,12 @@ class StateVector:
             return complex(re, im) / math.sqrt(d)
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def inner_is_zero(self, other: "StateVector", float_tol: float = 1e-12) -> bool:
+    def inner_is_zero(self, other: "StateVector") -> bool:
+        """<self|other> == 0, exactly for exact vectors, else within 1e-12."""
         if self.is_exact and other.is_exact:
             (re, im), _ = self.inner_exact(other)
             return re == 0 and im == 0
-        return abs(self.inner(other)) <= float_tol
+        return abs(self.inner(other)) <= 1e-12
 
     def born(self, other: "StateVector") -> Union[Fraction, float]:
         """|<self|other>|^2, exact when both vectors are exact."""
@@ -539,62 +546,60 @@ class BellLocalModel:
         )
 
 
-def _bell_event_indices(event: Event) -> tuple[int, int, int, int]:
-    """(a, b, x, y) of a 2-2-2 event with ids A0/A1/B0/B1."""
-    alice = bob = None
-    for mid, outcome in event.assignments:
-        if mid[0] == "A":
-            alice = (outcome, int(mid[1:]))
-        elif mid[0] == "B":
-            bob = (outcome, int(mid[1:]))
-    if alice is None or bob is None:
-        raise ValueError(f"not a bipartite event: {event}")
-    return alice[0], bob[0], alice[1], bob[1]
+def _setting_kets(theta: float, phi: float) -> np.ndarray:
+    """Outcome kets of one party and their derivatives, shape (3, 4, 2).
 
-
-def _bell_probabilities(
-    psi: tuple[complex, complex, complex, complex],
-    theta_a1: float,
-    phi_a1: float,
-    theta_b1: float,
-    phi_b1: float,
-    indices: Sequence[tuple[int, int, int, int]],
-) -> list[float]:
-    """P(ab|xy) for the listed events; shared by behaviors and optimizers.
-
-    The outcome-0 eigenvector of setting 1 is cos(t/2)|0> + e^{i p} sin(t/2)|1>;
-    outcome 1 uses the orthogonal complement (conj-swapped with a sign).
+    Layer 0 holds the kets, indexed by 2*outcome + setting; layers 1 and 2
+    their derivatives by theta and phi (setting 0 does not depend on them).
+    Setting 0 is the computational basis with outcome 1 as -|1>; setting 1
+    has outcome-0 ket cos(t/2)|0> + e^{i p} sin(t/2)|1> and outcome-1 ket
+    its conj-swapped complement.
     """
-    c00, c01, c10, c11 = (z.conjugate() for z in psi)
-    ka = (math.cos(theta_a1 / 2), math.sin(theta_a1 / 2) * cmath.exp(1j * phi_a1))
-    kb = (math.cos(theta_b1 / 2), math.sin(theta_b1 / 2) * cmath.exp(1j * phi_b1))
-    vecs_a = {
-        (0, 0): (1.0, 0j),
-        (1, 0): (0j, -1.0),
-        (0, 1): ka,
-        (1, 1): (ka[1].conjugate(), -ka[0]),
-    }
-    vecs_b = {
-        (0, 0): (1.0, 0j),
-        (1, 0): (0j, -1.0),
-        (0, 1): kb,
-        (1, 1): (kb[1].conjugate(), -kb[0]),
-    }
-    out = []
-    for a, b, x, y in indices:
-        u0, u1 = vecs_a[(a, x)]
-        v0, v1 = vecs_b[(b, y)]
-        amp = c00 * u0 * v0 + c01 * u0 * v1 + c10 * u1 * v0 + c11 * u1 * v1
-        out.append(abs(amp) ** 2)
-    return out
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    e = cmath.exp(1j * phi)
+    ec = e.conjugate()
+    return np.array(
+        [
+            1, 0, c, s * e, 0, -1, s * ec, -c,
+            0, 0, -s / 2, c / 2 * e, 0, 0, c / 2 * ec, s / 2,
+            0, 0, 0, 1j * s * e, 0, 0, -1j * s * ec, 0,
+        ],
+        dtype=complex,
+    ).reshape(3, 4, 2)
+
+
+# (Alice row, Bob row) of ``_setting_kets`` for every 2-2-2 event, keyed by
+# the event's sorted assignments
+_KET_ROWS = {
+    ((f"A{x}", a), (f"B{y}", b)): (2 * a + x, 2 * b + y)
+    for a, b, x, y in itertools.product((0, 1), repeat=4)
+}
+
+
+def _bell_ket_indices(events: Sequence[Event]) -> np.ndarray:
+    """(Alice ket, Bob ket) rows of ``_setting_kets``, 2*outcome + setting,
+    one per event, shape (n_events, 2).
+
+    Only 2-2-2 events are accepted: one A and one B measurement, each with
+    setting and outcome 0 or 1.
+    """
+    rows = []
+    for event in events:
+        if event.assignments not in _KET_ROWS:
+            raise ValueError(f"not a 2-2-2 event: {event}")
+        rows.append(_KET_ROWS[event.assignments])
+    return np.array(rows, dtype=int).reshape(-1, 2)
 
 
 def bell_event_probabilities(model: BellLocalModel, events: Sequence[Event]) -> list[float]:
-    psi = tuple(model.state_vector().floats)
-    indices = [_bell_event_indices(e) for e in events]
-    return _bell_probabilities(
-        psi, model.theta_a1, model.phi_a1, model.theta_b1, model.phi_b1, indices
-    )
+    """P(ab|xy) = |u^T conj(psi) v|^2 for the listed 2-2-2 events, with u and
+    v the parties' outcome kets and psi the state as a 2 x 2 matrix."""
+    rows = _bell_ket_indices(events)
+    u = _setting_kets(model.theta_a1, model.phi_a1)[0, rows[:, 0]]
+    v = _setting_kets(model.theta_b1, model.phi_b1)[0, rows[:, 1]]
+    psi = model.state_vector().amplitudes.reshape(2, 2).conj()
+    amplitudes = np.einsum("ei,ij,ej->e", u, psi, v)
+    return [float(p) for p in np.abs(amplitudes) ** 2]
 
 
 def bell_local_behavior(model: BellLocalModel) -> Behavior:

@@ -11,13 +11,13 @@ from exclusivity.classical import (
     behavior_from_json,
     behavior_from_strategy,
     behavior_to_json,
-    classical_max,
     classical_paradox_max,
     enumerate_deterministic,
     strategy_from_json,
     strategy_to_json,
 )
 from exclusivity.scenario import Measurement, Scenario, bell_event, chsh_events, hardy_pentagon_events
+from oracles import classical_max
 
 
 class TestEnumeration:

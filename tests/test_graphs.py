@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exclusivity import quantum, scenario
+from exclusivity import graphs, quantum, scenario
 from exclusivity.graphs import (
     GraphTooLargeError,
     ThetaNonConvergenceError,
@@ -173,9 +173,10 @@ class TestLovaszTheta:
             A[i, (i + 4) % n] = 1 - (2 - math.sqrt(2))
         assert abs(float(np.linalg.eigvalsh(A)[-1]) - target) < 1e-12  # theta <= 2 + sqrt(2)
 
-    def test_non_convergence_reports_best_bounds(self):
+    def test_non_convergence_reports_best_bounds(self, monkeypatch):
+        monkeypatch.setattr(graphs, "THETA_MAX_ITERATIONS", 2)
         with pytest.raises(ThetaNonConvergenceError) as err:
-            lovasz_theta(cycle_graph(5), max_newton_iterations=2)
+            lovasz_theta(cycle_graph(5))
         assert err.value.best_primal <= err.value.best_dual
         assert err.value.best_primal >= 2.0 - 1e-12  # alpha certificate floor
 
@@ -225,9 +226,10 @@ class TestThetaInteriorPoint:
         }[name]
         assert lovasz_theta(graph).iterations <= 30
 
-    def test_one_iteration_raises_above_the_alpha_floor(self):
+    def test_one_iteration_raises_above_the_alpha_floor(self, monkeypatch):
+        monkeypatch.setattr(graphs, "THETA_MAX_ITERATIONS", 1)
         with pytest.raises(ThetaNonConvergenceError) as err:
-            lovasz_theta(cycle_graph(5), max_newton_iterations=1)
+            lovasz_theta(cycle_graph(5))
         assert 2.0 - 1e-12 <= err.value.best_primal <= err.value.best_dual
 
     def test_connected_graph_with_zero_and_fraction_weights(self):
@@ -437,7 +439,7 @@ class TestThetaLowerBound:
 
     def test_umbrella_hits_theta_of_pentagon(self):
         rep = umbrella_representation()
-        value = theta_lower_bound(cycle_graph(5), rep, validate=False)
+        value = theta_lower_bound(cycle_graph(5), rep)
         assert abs(value - SQRT5) < 1e-12
         report = verify_orthonormal_representation(cycle_graph(5), rep)
         assert report.valid

@@ -18,6 +18,7 @@ from exclusivity.inequalities import (
     tsirelson_model,
 )
 from exclusivity.scenario import chsh_events
+from oracles import classical_max
 
 SQRT2 = math.sqrt(2)
 
@@ -57,7 +58,7 @@ class TestSChsh:
 
 class TestSKcbs:
     def test_deterministic_max(self, bell222):
-        value, _ = classical.classical_max(scenario.hardy_pentagon_events(), bell222)
+        value, _ = classical_max(scenario.hardy_pentagon_events(), bell222)
         assert value == 2
 
     def test_plain_sum(self):

@@ -10,7 +10,6 @@ from exclusivity.optimize import (
     OptimizerConfig,
     _bell_amplitudes,
     _bell_evaluate,
-    _bell_ket_indices,
     _maximize_bell_paradox,
     _pentagon_evaluate,
     _sample_bell_start,
@@ -20,13 +19,9 @@ from exclusivity.optimize import (
     maximize_hardy_local,
     maximize_kcbs_qutrit,
 )
-from exclusivity.quantum import (
-    BellLocalModel,
-    _bell_event_indices,
-    _bell_probabilities,
-    bell_event_probabilities,
-)
+from exclusivity.quantum import BellLocalModel, _bell_ket_indices, bell_event_probabilities
 from exclusivity.scenario import bell_222, bell_event, enumerate_events
+from oracles import bell_probabilities
 
 HARDY_MAX = (5 * math.sqrt(5) - 11) / 2
 SMALL = OptimizerConfig(restarts=8, seed=11)
@@ -288,13 +283,12 @@ class TestClosedFormJacobians:
 
     def test_two_qubit_probabilities_match_forward_model(self):
         kets = _bell_ket_indices(self.EVENTS)
-        indices = [_bell_event_indices(e) for e in self.EVENTS]
         rng = np.random.default_rng(20240)
         for _ in range(20):
             x = _sample_bell_start(rng)
             amplitudes, _ = _bell_amplitudes(x, kets)
             psi = tuple(complex(z) for z in _state_and_derivatives(x)[0])
-            expected = _bell_probabilities(psi, x[4], x[5], x[6], x[7], indices)
+            expected = bell_probabilities(psi, x[4], x[5], x[6], x[7], self.EVENTS)
             assert np.max(np.abs(np.abs(amplitudes) ** 2 - expected)) <= 1e-15
 
     def test_two_qubit_amplitude_jacobian(self):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from exclusivity.quantum import (
     QuantumContextModel,
     SqrtFraction,
     StateVector,
+    bell_event_probabilities,
     bell_local_behavior,
     born_probability,
     chsh_vertex_event_mapping,
@@ -26,27 +28,21 @@ from exclusivity.quantum import (
     model_vertex_probabilities,
 )
 from exclusivity.scenario import are_exclusive, bell_222, bell_event, enumerate_events
+from oracles import bell_event_indices, bell_probabilities, outcome_kets
+
+
+def party_kets(model, party):
+    """The oracle's outcome kets of one party, keyed by (outcome, setting)."""
+    if party == "A":
+        return outcome_kets(model.theta_a1, model.phi_a1)
+    return outcome_kets(model.theta_b1, model.phi_b1)
 
 
 def measurement_direction_marginal(model, party, setting, outcome):
     """Direct single-party marginal, bypassing the joint distribution."""
     psi = np.array(model.state_vector().floats).reshape(2, 2)
-    if setting == 0:
-        ket = np.array([1.0, 0.0], dtype=complex)
-    elif party == "A":
-        ket = np.array(
-            [math.cos(model.theta_a1 / 2), math.sin(model.theta_a1 / 2) * cmath.exp(1j * model.phi_a1)]
-        )
-    else:
-        ket = np.array(
-            [math.cos(model.theta_b1 / 2), math.sin(model.theta_b1 / 2) * cmath.exp(1j * model.phi_b1)]
-        )
-    if outcome == 1:
-        ket = np.array([ket[1].conjugate(), -ket[0]])
-    if party == "A":
-        collapsed = ket.conjugate() @ psi
-    else:
-        collapsed = psi @ ket.conjugate()
+    ket = np.array(party_kets(model, party)[(outcome, setting)]).conjugate()
+    collapsed = ket @ psi if party == "A" else psi @ ket
     return float(np.sum(np.abs(collapsed) ** 2))
 
 
@@ -282,39 +278,18 @@ class TestBellLocalBehavior:
     def test_exclusive_events_have_orthogonal_projectors(self, model):
         # local orthogonality: exclusive events of one model correspond to
         # orthogonal product eigenvectors
-        from exclusivity.quantum import _bell_event_indices
+        kets = {party: party_kets(model, party) for party in "AB"}
 
-        def eigvec(party, setting, outcome):
-            if setting == 0:
-                ket = np.array([1.0, 0.0], dtype=complex)
-            elif party == "A":
-                ket = np.array(
-                    [
-                        math.cos(model.theta_a1 / 2),
-                        math.sin(model.theta_a1 / 2) * cmath.exp(1j * model.phi_a1),
-                    ]
-                )
-            else:
-                ket = np.array(
-                    [
-                        math.cos(model.theta_b1 / 2),
-                        math.sin(model.theta_b1 / 2) * cmath.exp(1j * model.phi_b1),
-                    ]
-                )
-            if outcome == 1:
-                ket = np.array([ket[1].conjugate(), -ket[0]])
-            return ket
+        def eigvec(event):
+            a, b, x, y = bell_event_indices(event)
+            return np.kron(kets["A"][(a, x)], kets["B"][(b, y)])
 
         events = enumerate_events(bell_222())
         for k, e1 in enumerate(events):
             for e2 in events[k + 1 :]:
                 if not are_exclusive(e1, e2):
                     continue
-                a1, b1, x1, y1 = _bell_event_indices(e1)
-                a2, b2, x2, y2 = _bell_event_indices(e2)
-                v1 = np.kron(eigvec("A", x1, a1), eigvec("B", y1, b1))
-                v2 = np.kron(eigvec("A", x2, a2), eigvec("B", y2, b2))
-                assert abs(np.vdot(v1, v2)) < 1e-9
+                assert abs(np.vdot(eigvec(e1), eigvec(e2))) < 1e-9
 
     @settings(max_examples=25, deadline=None)
     @given(random_models)
@@ -326,6 +301,25 @@ class TestBellLocalBehavior:
             summed = behavior.marginal(mid, 1, ctx)
             direct = measurement_direction_marginal(model, party, setting, 1)
             assert summed == pytest.approx(direct, abs=1e-9)
+
+    @settings(max_examples=50, deadline=None)
+    @given(random_models)
+    def test_probabilities_match_oracle(self, model):
+        events = enumerate_events(bell_222())
+        expected = bell_probabilities(
+            model.state_vector().floats,
+            model.theta_a1, model.phi_a1, model.theta_b1, model.phi_b1,
+            events,
+        )
+        got = bell_event_probabilities(model, events)
+        assert max(abs(p - q) for p, q in zip(got, expected)) <= 1e-15
+
+    def test_rejects_events_outside_222(self):
+        model = BellLocalModel(a=1.0, b=0.0, c=0.0, d=0.0)
+        for event in (bell_event("00|20"), bell_event("20|00"), scenario.atomic_event("A0", 0)):
+            with pytest.raises(ValueError, match=re.escape(str(event))):
+                bell_event_probabilities(model, [event])
+        assert bell_event_probabilities(model, []) == []
 
     def test_from_unconstrained_folds_signs(self):
         raw = (-0.3, 0.5, -0.2, 0.7)
