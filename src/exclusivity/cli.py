@@ -10,8 +10,10 @@ Subcommands::
 
 Every run prints a human summary; ``--json`` prints the full machine
 payload instead, and ``--out FILE`` writes it to disk either way.  Exit
-codes: 0 ok, 1 non-convergence or numerical failure, 2 input error.
-Values with an exact rational form are printed as fraction and decimal.
+codes: 0 ok, 1 non-convergence or numerical failure, 2 input error.  Input
+errors are raised as ``InputError`` where the input is read; any other
+exception is a bug and propagates.  Values with an exact rational form are
+printed as fraction and decimal.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -34,6 +37,16 @@ from . import __version__, classical, graphs, inequalities, optimize, paradox, q
 
 class InputError(Exception):
     """Bad user input: unknown name, unreadable file, failed validation."""
+
+
+def _tolerance(args, default: float, minimum: float = 0.0) -> float:
+    """``--tol`` when given (0 included), else ``default``; it must be
+    finite and at least ``minimum``."""
+    if args.tol is None:
+        return default
+    if not (math.isfinite(args.tol) and args.tol >= minimum):
+        raise InputError(f"--tol must be a finite number >= {minimum:g}, got {args.tol!r}")
+    return args.tol
 
 
 def _fmt(value) -> str:
@@ -85,21 +98,27 @@ def _resolve_behavior(ref: str) -> classical.Behavior:
     if Path(ref).exists():
         try:
             return classical.behavior_from_json(_load_json(ref))
-        except (KeyError, ValueError) as err:
+        except (KeyError, ValueError, TypeError) as err:
             raise InputError(f"invalid behavior file {ref}: {err}")
     return _builtin_behavior(ref)
 
 
 def cmd_graph(args) -> dict:
+    accuracy = _tolerance(args, 1e-7, minimum=1e-7)
     if args.scenario_file:
-        graph = scenario.build_exclusivity_graph(
-            scenario.scenario_from_json(_load_json(args.scenario_file))
-        )
+        data = _load_json(args.scenario_file)
+        try:
+            graph = scenario.build_exclusivity_graph(scenario.scenario_from_json(data))
+        except (KeyError, ValueError, TypeError) as err:
+            raise InputError(f"invalid scenario file {args.scenario_file}: {err}")
         name = args.scenario_file
     else:
         graph = _builtin_graph(args.name)
         name = args.name
-    alpha, witness = graphs.independence_number(graph)
+    try:
+        alpha, witness = graphs.independence_number(graph)
+    except graphs.GraphTooLargeError as err:
+        raise InputError(str(err))
     payload = {
         "name": name,
         "graph": scenario.graph_to_json(graph),
@@ -110,7 +129,7 @@ def cmd_graph(args) -> dict:
         "odd_holes_5": [list(h) for h in graphs.find_odd_holes(graph, 5)],
     }
     if graph.n <= 16:
-        theta = graphs.lovasz_theta(graph, accuracy=args.tol or 1e-7)
+        theta = graphs.lovasz_theta(graph, accuracy=accuracy)
         payload["lovasz_theta"] = theta.to_json()
     return payload
 
@@ -122,8 +141,9 @@ def cmd_verify(args) -> dict:
             f"unknown spec {args.spec!r}; choose from {sorted(paradox.BUILTIN_SPECS)}"
         )
     spec = paradox.BUILTIN_SPECS[args.spec]()
+    tol = _tolerance(args, paradox.DEFAULT_TOL)
     try:
-        report = paradox.verify(behavior, spec, tol=args.tol or paradox.DEFAULT_TOL)
+        report = paradox.verify(behavior, spec, tol=tol)
     except classical.MissingEventError as err:
         raise InputError(f"behavior does not cover the spec events: {err}")
     return {"spec": args.spec, "behavior": args.behavior, "report": report.to_json()}
@@ -131,7 +151,12 @@ def cmd_verify(args) -> dict:
 
 def _optimizer_config(args, default: optimize.OptimizerConfig) -> optimize.OptimizerConfig:
     overrides = {"restarts": args.restarts, "seed": args.seed}
-    return dataclasses.replace(default, **{k: v for k, v in overrides.items() if v is not None})
+    try:
+        return dataclasses.replace(
+            default, **{k: v for k, v in overrides.items() if v is not None}
+        )
+    except ValueError as err:
+        raise InputError(str(err))
 
 
 OPTIMIZE_TASKS = tuple(optimize.DEFAULT_CONFIGS)
@@ -146,6 +171,8 @@ def cmd_optimize(args) -> dict:
     elif args.task == "chsh-paradox-local":
         result = optimize.maximize_chsh_paradox_local(config)
     else:
+        if args.dimension < 1:
+            raise InputError(f"--dimension must be positive, got {args.dimension}")
         result = optimize.maximize_kcbs_qutrit(
             constrained=args.constrained, config=config, dimension=args.dimension
         )
@@ -154,33 +181,29 @@ def cmd_optimize(args) -> dict:
     return payload
 
 
+EVENT_SUM_INEQUALITIES = {
+    "chsh": inequalities.chsh_probability_inequality,
+    "kcbs": inequalities.kcbs_inequality,
+}
+
+
 def cmd_inequality(args) -> dict:
-    if args.name == "chsh":
-        behavior = _resolve_behavior(args.behavior or "construction-bell")
-        evaluation = inequalities.evaluate_event_sum(
-            inequalities.chsh_probability_inequality(), behavior
-        )
-        return {"inequality": "chsh", "behavior": args.behavior, "report": evaluation.to_json()}
-    if args.name == "kcbs":
-        behavior = _resolve_behavior(args.behavior or "construction-bell")
-        evaluation = inequalities.evaluate_event_sum(inequalities.kcbs_inequality(), behavior)
-        return {"inequality": "kcbs", "behavior": args.behavior, "report": evaluation.to_json()}
-    if args.name == "chsh-correlator":
-        behavior = _resolve_behavior(args.behavior or "construction")
-        graph = quantum.contextual_chsh_graph()
-        try:
-            vertex_probs = {
-                v.id: behavior.probability(v.event) for v in graph.vertices
-            }
-        except classical.MissingEventError as err:
-            raise InputError(f"behavior does not cover the contextual events: {err}")
-        result = inequalities.correlator_inequality_value(vertex_probs, graph)
-        return {
-            "inequality": "chsh-correlator",
-            "behavior": args.behavior,
-            "report": result.to_json(),
-        }
-    raise InputError(f"unknown inequality {args.name!r}")
+    if args.name not in (*EVENT_SUM_INEQUALITIES, "chsh-correlator"):
+        raise InputError(f"unknown inequality {args.name!r}")
+    default = "construction" if args.name == "chsh-correlator" else "construction-bell"
+    behavior = _resolve_behavior(args.behavior or default)
+    try:
+        if args.name == "chsh-correlator":
+            graph = quantum.contextual_chsh_graph()
+            vertex_probs = {v.id: behavior.probability(v.event) for v in graph.vertices}
+            result = inequalities.correlator_inequality_value(vertex_probs, graph)
+        else:
+            result = inequalities.evaluate_event_sum(
+                EVENT_SUM_INEQUALITIES[args.name](), behavior
+            )
+    except classical.MissingEventError as err:
+        raise InputError(f"behavior does not cover the {args.name} events: {err}")
+    return {"inequality": args.name, "behavior": args.behavior, "report": result.to_json()}
 
 
 def cmd_tables(args) -> dict:
@@ -267,6 +290,12 @@ def _human_summary(command: str, payload: dict) -> str:
         )
         if payload.get("classification"):
             lines.append(f"  classification: {payload['classification']}")
+        statuses = [
+            stage["status"] for restart in payload.get("restarts", ()) for stage in restart["stages"]
+        ]
+        stopped = sum(status != 0 for status in statuses)
+        if stopped:
+            lines.append(f"  {stopped} of {len(statuses)} stages stopped with nonzero status")
     elif command == "inequality":
         report = payload["report"]
         value = report.get("value", report.get("value_float"))
@@ -372,12 +401,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as err:  # a ValueError, but not an input error
+    except np.linalg.LinAlgError as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except graphs.ThetaNonConvergenceError as err:
         print(
             f"non-convergence: {err} (best bounds {err.best_primal:.9f}..{err.best_dual:.9f})",

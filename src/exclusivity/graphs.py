@@ -215,6 +215,8 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
         raise ValueError("empty graph")
     if n > 16:
         raise GraphTooLargeError(f"lovasz_theta supports <= 16 vertices, got {n}")
+    if not math.isfinite(accuracy):
+        raise ValueError(f"accuracy must be finite, got {accuracy!r}")
     if accuracy < 1e-7:
         raise ValueError("accuracy below 1e-7 is not supported")
 

@@ -41,6 +41,15 @@ restart draws its starting point from a stream seeded by (seed, restart
 index), so results are bit-reproducible and independent of execution
 order.  Ties prefer the lowest restart index.
 
+``scipy.optimize`` loads on the first optimizer call, not with this
+module: the graph invariants, the exact checks and every CLI command but
+``optimize`` and ``tables`` import this module and never optimize, and the
+import costs about half a second and 40 MB.  ``minimize`` and
+``least_squares`` stay attributes of this module, resolved by the module
+``__getattr__`` on first access, and ``_multistart`` looks both up on the
+module at call time, so a wrapper set on either (by a tracer or a test)
+is the one that runs.
+
 Two-qubit tasks optimize over a gauge-fixed parameterization: state
 hyperspherical magnitudes (chi1, chi2, chi3) and the |11> phase, plus Bloch
 angles for the second setting of each party (8 parameters total).  The
@@ -57,16 +66,30 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .quantum import BellLocalModel, _bell_ket_indices, _setting_kets, bell_event_probabilities
 from .scenario import Event, bell_event
 
 TAU = 2 * math.pi
+
+
+def __getattr__(name: str):
+    """Load scipy's ``minimize`` and ``least_squares`` on first access (see
+    the module docstring), keeping any wrapper already set on either."""
+    if name not in ("minimize", "least_squares"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import scipy.optimize
+
+    names = globals()
+    names.setdefault("minimize", scipy.optimize.minimize)
+    names.setdefault("least_squares", scipy.optimize.least_squares)
+    return names[name]
+
 
 # Hard caps that keep every local search finite: L-BFGS-B iterations per
 # penalty stage, and residual evaluations of the least-squares feasibility
@@ -91,6 +114,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 # The config each task runs when none is given (the CLI's too): the
@@ -118,6 +143,12 @@ class RestartSummary:
     feasible: bool
     classification: Optional[Classification]
     stage_values: tuple[float, ...]
+    # iterations, objective evaluations and status of each penalty stage
+    # (L-BFGS-B's ``nit``, ``nfev`` and ``status``; nonzero status is the
+    # iteration cap or a line search that made no progress)
+    stage_iterations: tuple[int, ...]
+    stage_evaluations: tuple[int, ...]
+    stage_statuses: tuple[int, ...]
     # evaluations and status of the feasibility polish (scipy's
     # least_squares ``nfev`` and ``status``; status 0 is the evaluation cap)
     polish_evaluations: int
@@ -155,6 +186,13 @@ class OptimizationResult:
                     "max_residual": s.max_residual,
                     "feasible": s.feasible,
                     "classification": s.classification.value if s.classification else None,
+                    "stages": [
+                        {"value": v, "iterations": i, "evaluations": e, "status": st}
+                        for v, i, e, st in zip(
+                            s.stage_values, s.stage_iterations,
+                            s.stage_evaluations, s.stage_statuses,
+                        )
+                    ],
                     "polish_evaluations": s.polish_evaluations,
                     "polish_status": s.polish_status,
                 }
@@ -183,11 +221,14 @@ def _multistart(
     the task's own residuals.  ``describe`` renders the winning parameters
     for the result payload.
 
-    The polish is one ``least_squares`` call per restart, over the row space
-    of the start Jacobian when the polish system has fewer residuals than
-    parameters (see the module docstring); its ``nfev`` and ``status`` go
-    into the restart's summary.
+    Each stage is one ``minimize`` call and the polish one ``least_squares``
+    call per restart, over the row space of the start Jacobian when the
+    polish system has fewer residuals than parameters (see the module
+    docstring); their counts and statuses go into the restart's summary.
+    Both solvers are looked up on the module at each call (see
+    ``__getattr__``).
     """
+    module = sys.modules[__name__]
     if polish_system is None:
         def polish_system(xx):
             return evaluate(xx)[2:]
@@ -210,7 +251,7 @@ def _multistart(
     for index in range(config.restarts):
         rng = np.random.default_rng([config.seed, index])
         x = np.asarray(sample_start(rng), dtype=float)
-        stage_values = []
+        stages = []
         for mu in PENALTY_SCHEDULE:
             def penalized(xx, _mu=mu):
                 value, gradient, residuals, jacobian = evaluate(xx)
@@ -221,11 +262,12 @@ def _multistart(
 
             # ftol at the floating-point floor: at mu = 1e8 the default
             # relative-decrease test stops short of the optimum
-            x = minimize(
+            stage = module.minimize(
                 penalized, x, jac=True, method="L-BFGS-B",
                 options={"maxiter": STAGE_MAX_ITERATIONS, "ftol": 1e-15},
-            ).x
-            stage_values.append(evaluate(x)[0])
+            )
+            x = stage.x
+            stages.append((evaluate(x)[0], int(stage.nit), int(stage.nfev), int(stage.status)))
         # fewer residuals than parameters: polish over the row space of the
         # start Jacobian, x = x0 + B z with B orthonormal (n x m) and z0 = 0
         # (see the module docstring)
@@ -243,7 +285,7 @@ def _multistart(
 
         # tolerances at the floating-point floor: the polish runs until the
         # residuals stop shrinking, not until scipy's 1e-8 defaults
-        polish = least_squares(
+        polish = module.least_squares(
             lambda z: polish_at(chart(z))[0],
             x if basis is None else np.zeros(m),
             jac=polish_jacobian,
@@ -255,6 +297,7 @@ def _multistart(
         max_residual = float(np.max(np.abs(residuals))) if residuals.size else 0.0
         feasible = max_residual <= FEASIBILITY_TOL
         cls = classify(x) if classify is not None and feasible else None
+        values, iterations, evaluations, statuses = zip(*stages)
         summaries.append(
             RestartSummary(
                 index=index,
@@ -262,7 +305,10 @@ def _multistart(
                 max_residual=max_residual,
                 feasible=feasible,
                 classification=cls,
-                stage_values=tuple(stage_values),
+                stage_values=values,
+                stage_iterations=iterations,
+                stage_evaluations=evaluations,
+                stage_statuses=statuses,
                 polish_evaluations=int(polish.nfev),
                 polish_status=int(polish.status),
             )

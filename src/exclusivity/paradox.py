@@ -16,6 +16,7 @@ a threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -215,7 +216,11 @@ def verify(behavior: Behavior, spec: ParadoxSpec, tol: float = DEFAULT_TOL) -> V
 
     verified  <=>  every zero residual <= tol, every |saturation - 1| <= tol,
     and p_hardy > tol.  Exact behaviors keep exact residuals in the report.
+    ``tol`` must be finite and non-negative; 0 asks exact behaviors for
+    exact zeros and saturations.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     zero_residuals = tuple(
         (str(z), behavior.probability(z)) for z in spec.zero_events
     )

@@ -56,6 +56,29 @@ class TestGraphCommand:
     def test_unknown_builtin(self, tmp_path):
         assert main(["graph", "nonsense"]) == 2
 
+    def test_invalid_scenario_file(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"parties": 2, "measurements": [{"id": "A0"}], "contexts": []}))
+        assert main(["graph", "--scenario-file", str(path)]) == 2
+
+    def test_oversize_scenario_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.scenario_to_json(scenario.bell_scenario((3, 3)))))
+        assert main(["graph", "--scenario-file", str(path)]) == 2
+        assert "<= 32 vertices" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "1e-8"])
+    def test_tolerance_outside_theta_range(self, capsys, tol):
+        # --tol inf used to print theta = 4 with gap 4 for the pentagon, and
+        # --tol 0 silently became the default
+        assert main(["graph", "pentagon", "--tol", tol]) == 2
+        assert "--tol must be" in capsys.readouterr().err
+
+    def test_tolerance_is_passed_through(self, tmp_path):
+        code, report = run(tmp_path, "graph", "pentagon", "--tol", "1e-3")
+        assert code == 0
+        assert report["results"]["lovasz_theta"]["duality_gap"] <= 1e-3
+
     def test_numerical_failure_is_not_an_input_error(self, monkeypatch):
         # LinAlgError subclasses ValueError, but it means the computation failed
         def fail(*args, **kwargs):
@@ -63,6 +86,16 @@ class TestGraphCommand:
 
         monkeypatch.setattr(graphs, "lovasz_theta", fail)
         assert main(["graph", "pentagon"]) == 1
+
+    def test_value_error_inside_a_computation_is_not_an_input_error(self, monkeypatch):
+        # only input boundaries raise InputError (exit 2); a ValueError from
+        # the computation itself is a bug and propagates
+        def fail(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(graphs, "find_odd_holes", fail)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["graph", "pentagon"])
 
 
 class TestVerifyCommand:
@@ -100,6 +133,18 @@ class TestVerifyCommand:
     def test_unknown_spec(self, tmp_path):
         assert main(["verify", "construction", "nope"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_invalid_tolerance(self, capsys, tol):
+        # each used to exit 0 with verified = False
+        assert main(["verify", "construction", "chsh-contextual", "--tol", tol]) == 2
+        assert "--tol must be" in capsys.readouterr().err
+
+    def test_zero_tolerance_asks_for_exact_zeros(self, tmp_path):
+        code, report = run(tmp_path, "verify", "construction", "chsh-contextual", "--tol", "0")
+        assert code == 0
+        assert report["results"]["report"]["verified"] is True
+        assert report["results"]["report"]["tolerance"] == 0
+
 
 class TestOptimizeCommand:
     def test_hardy_small(self, tmp_path):
@@ -131,6 +176,33 @@ class TestOptimizeCommand:
 
     def test_unknown_task(self, tmp_path):
         assert main(["optimize", "warp-drive"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["optimize", "hardy-local", "--restarts", "0"],
+            ["optimize", "hardy-local", "--seed", "-1"],
+            ["optimize", "kcbs-qutrit", "--dimension", "0"],
+            ["tables", "--restarts", "0"],
+        ],
+    )
+    def test_invalid_settings_are_input_errors(self, argv):
+        assert main(argv) == 2
+
+    def test_summary_counts_stages_with_nonzero_status(self, monkeypatch, capsys):
+        minimize = optimize.minimize
+        calls = []
+
+        def every_other_stage_at_cap(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            calls.append(result)
+            if len(calls) % 2:
+                result.status = 1
+            return result
+
+        monkeypatch.setattr(optimize, "minimize", every_other_stage_at_cap)
+        assert main(["optimize", "hardy-local", "--restarts", "2", "--seed", "4"]) == 0
+        assert "3 of 6 stages stopped with nonzero status" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "task, function, restarts",
@@ -189,6 +261,13 @@ class TestInequalityCommand:
 
     def test_unknown_name(self):
         assert main(["inequality", "everything"]) == 2
+
+    @pytest.mark.parametrize("name", ["chsh", "kcbs", "chsh-correlator"])
+    def test_behavior_missing_events(self, tmp_path, name):
+        # the contextual behavior lacks the 2-2-2 events, and the Bell one
+        # lacks the contextual events
+        behavior = "construction-bell" if name == "chsh-correlator" else "construction"
+        assert main(["inequality", name, "--behavior", behavior]) == 2
 
 
 class TestTablesCommand:

@@ -142,6 +142,13 @@ class TestLovaszTheta:
         with pytest.raises(ValueError):
             lovasz_theta(cycle_graph(5), accuracy=1e-9)
 
+    @pytest.mark.parametrize("accuracy", [math.inf, math.nan])
+    def test_non_finite_accuracy_rejected(self, accuracy):
+        # inf used to return theta = 4 with gap 4 for the pentagon, and nan
+        # slipped past the lower bound
+        with pytest.raises(ValueError, match="finite"):
+            lovasz_theta(cycle_graph(5), accuracy=accuracy)
+
     def test_too_large(self):
         with pytest.raises(GraphTooLargeError):
             lovasz_theta(edgeless_graph(17))

@@ -1,9 +1,14 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+import exclusivity
 from exclusivity import optimize, paradox
 from exclusivity.optimize import (
     Classification,
@@ -202,6 +207,8 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError, match="seed"):
+            OptimizerConfig(seed=-1)
 
     def test_only_restarts_and_seed_are_settable(self):
         assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
@@ -259,6 +266,30 @@ class TestPolish:
         assert [s.polish_evaluations for s in result.restart_summaries] == evaluations
         assert [s.polish_status for s in result.restart_summaries] == [r.status for r in results]
 
+    def test_stage_record_matches_minimize(self, monkeypatch):
+        # constrained KCBS at seed 6: with scipy 1.17.1 two of the twelve
+        # stages end with L-BFGS-B status 2, so nonzero statuses are covered
+        results = []
+        minimize = optimize.minimize
+
+        def recorded(*args, **kwargs):
+            results.append(minimize(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(optimize, "minimize", recorded)
+        result = maximize_kcbs_qutrit(True, OptimizerConfig(restarts=4, seed=6))
+        assert len(results) == 3 * 4
+        entries = result.to_json()["restarts"]
+        for k, (summary, entry) in enumerate(zip(result.restart_summaries, entries)):
+            stages = results[3 * k : 3 * k + 3]
+            assert summary.stage_iterations == tuple(r.nit for r in stages)
+            assert summary.stage_evaluations == tuple(r.nfev for r in stages)
+            assert summary.stage_statuses == tuple(r.status for r in stages)
+            assert entry["stages"] == [
+                {"value": v, "iterations": r.nit, "evaluations": r.nfev, "status": r.status}
+                for v, r in zip(summary.stage_values, stages)
+            ]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_repeat_calls_are_bit_identical(self, seed):
         # a polish by Levenberg-Marquardt on zero-padded rows gave two
@@ -270,6 +301,63 @@ class TestPolish:
         assert [s.stage_values for s in first.restart_summaries] == [
             s.stage_values for s in second.restart_summaries
         ]
+
+
+# imports every module of the package, runs the commands that never
+# optimize, then touches the solver; prints whether scipy.optimize was loaded
+# before and after
+LAZY_IMPORT_SCRIPT = """
+import importlib, pkgutil, sys
+import exclusivity
+names = [info.name for info in pkgutil.iter_modules(exclusivity.__path__)]
+assert {"cli", "graphs", "optimize", "paradox"} <= set(names), names
+for name in names:
+    importlib.import_module("exclusivity." + name)
+from exclusivity import cli, optimize
+for argv in (["graph", "pentagon"], ["verify", "construction", "chsh-contextual"],
+             ["inequality", "chsh"]):
+    assert cli.main(argv) == 0, argv
+print("scipy.optimize" in sys.modules)
+optimize.minimize
+print("scipy.optimize" in sys.modules)
+"""
+
+
+class TestLazyScipy:
+    def test_commands_that_never_optimize_do_not_load_scipy_optimize(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(exclusivity.__file__)))
+        run = subprocess.run(
+            [sys.executable, "-c", LAZY_IMPORT_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=120,
+        )
+        *_, before, after = run.stdout.splitlines()
+        assert before == "False"
+        assert after == "True"
+
+    def test_first_access_gives_scipys_solvers(self, monkeypatch):
+        for name in ("minimize", "least_squares"):
+            monkeypatch.delitem(vars(optimize), name, raising=False)
+        assert optimize.minimize is scipy.optimize.minimize
+        assert optimize.least_squares is scipy.optimize.least_squares
+        with pytest.raises(AttributeError):
+            optimize.no_such_solver
+
+    def test_wrapper_set_before_first_use_is_called(self, monkeypatch):
+        # the hook loads least_squares on the first restart and must leave
+        # the wrapper on minimize in place
+        for name in ("minimize", "least_squares"):
+            monkeypatch.delitem(vars(optimize), name, raising=False)
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append(args[1])
+            return scipy.optimize.minimize(*args, **kwargs)
+
+        monkeypatch.setitem(vars(optimize), "minimize", wrapper)
+        maximize_hardy_local(OptimizerConfig(restarts=2, seed=5))
+        assert len(calls) == 3 * 2
+        assert optimize.minimize is wrapper
+        assert optimize.least_squares is scipy.optimize.least_squares
 
 
 def assert_matches_central_differences(analytic, f, x, h=1e-6, tol=1e-8):

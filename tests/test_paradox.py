@@ -156,6 +156,16 @@ class TestVerify:
         for earlier, later in zip(results, results[1:]):
             assert (not earlier) or later
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tol_rejected(self, tol):
+        behavior = quantum.construction_bell_behavior()
+        with pytest.raises(ValueError, match="tol"):
+            verify(behavior, chsh_paradox_spec(), tol=tol)
+
+    def test_zero_tol_verifies_exact_behavior(self):
+        report = verify(quantum.construction_bell_behavior(), chsh_paradox_spec(), tol=0)
+        assert report.verified and report.tolerance == 0
+
     def test_report_json(self):
         behavior = quantum.construction_bell_behavior()
         data = verify(behavior, chsh_paradox_spec()).to_json()
