@@ -129,8 +129,10 @@ def cmd_graph(args) -> dict:
         "odd_holes_5": [list(h) for h in graphs.find_odd_holes(graph, 5)],
     }
     if graph.n <= 16:
-        theta = graphs.lovasz_theta(graph, accuracy=accuracy)
-        payload["lovasz_theta"] = theta.to_json()
+        payload["lovasz_theta"] = graphs.lovasz_theta(graph, accuracy=accuracy).to_json()
+    else:  # alpha still stands, so this is no failure
+        payload["lovasz_theta"] = None
+        payload["lovasz_theta_skipped"] = f"{graph.n} vertices > 16"
     return payload
 
 
@@ -269,11 +271,15 @@ def _human_summary(command: str, payload: dict) -> str:
             f"  independence number alpha = {_fmt(payload['independence_number'])}, "
             f"witness {payload['independence_witness']}"
         )
-        if "lovasz_theta" in payload:
-            theta = payload["lovasz_theta"]
+        theta = payload["lovasz_theta"]
+        if theta is None:
+            lines.append(f"  lovasz theta: not computed ({payload['lovasz_theta_skipped']})")
+        else:
             lines.append(
                 f"  lovasz theta = {theta['value']:.7f} (gap {theta['duality_gap']:.1e})"
             )
+            if theta["stop"] == "clique_cover":
+                lines.append("  exact: alpha meets a clique cover")
         lines.append(f"  pentagons (induced 5-holes): {len(payload['odd_holes_5'])}")
     elif command == "verify":
         report = payload["report"]

@@ -14,7 +14,11 @@ whose dual is  min t  s.t.  S = t*I + sum_edges lam_ij E_ij - J_w  PSD.  From
 exactly feasible starts, Mehrotra predictor-corrector steps along the HKM
 direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIOPT 1996) give a
 certified sandwich at every iterate: t once S passes Cholesky, and X with its
-edge entries zeroed, shifted to PSD and scaled to trace 1.
+edge entries zeroed, shifted to PSD and scaled to trace 1.  Before any of
+that, alpha_w <= theta_w <= the weight of any clique partition (Lovasz 1979):
+when the greedy partition that bounds alpha's search weighs exactly alpha_w,
+theta is alpha_w exactly, certified by the independent set's indicator, and
+no interior-point iteration runs.
 
 Orthonormal representations of the complement (unit vector per vertex,
 adjacent vertices orthogonal) give constructive lower bounds on theta via
@@ -86,45 +90,54 @@ def complement(graph: ExclusivityGraph) -> ExclusivityGraph:
 # Independence number
 
 
+def _bitmasks(graph: ExclusivityGraph) -> tuple[list[Weight], list[int]]:
+    """Vertex weights and neighbour bitmasks, vertices in id order."""
+    index = {vid: k for k, vid in enumerate(graph.vertex_ids())}
+    adj = [0] * graph.n
+    for i, j in graph.edges:
+        adj[index[i]] |= 1 << index[j]
+        adj[index[j]] |= 1 << index[i]
+    return [v.weight for v in graph.vertices], adj
+
+
+def _clique_cover(mask: int, weights: list[Weight], adj: list[int]) -> Weight:
+    """Weight of a greedy partition of ``mask`` into cliques, each clique
+    costing its heaviest vertex: an exact upper bound on alpha_w and theta_w
+    of the induced subgraph (dropping the edges between the cliques only
+    raises theta, and a disjoint union of cliques has theta equal to the sum
+    of their maxima)."""
+    bound: Weight = 0
+    rem = mask
+    while rem:
+        v = (rem & -rem).bit_length() - 1
+        clique = 1 << v
+        best_w = weights[v]
+        cand = rem & adj[v]
+        while cand:
+            u = (cand & -cand).bit_length() - 1
+            clique |= 1 << u
+            if weights[u] > best_w:
+                best_w = weights[u]
+            cand &= adj[u]
+        bound += best_w
+        rem &= ~clique
+    return bound
+
+
 def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...]]:
     """Exact maximum-weight independent set: (value, witness vertex ids).
 
     Branch and bound over bitmasks; branches include the lowest-id candidate
     vertex first, so ties resolve to the canonically smallest witness.  The
-    upper bound partitions the candidates greedily into cliques (each clique
-    contributes at most its heaviest vertex).  Limited to 32 vertices.
+    upper bound is ``_clique_cover`` of the candidates.  Limited to 32
+    vertices.
     """
     n = graph.n
     if n > 32:
         raise GraphTooLargeError(f"independence_number supports <= 32 vertices, got {n}")
     if n == 0:
         return 0, ()
-    ids = graph.vertex_ids()
-    index = {vid: k for k, vid in enumerate(ids)}
-    weights = [v.weight for v in graph.vertices]
-    adj = [0] * n
-    for i, j in graph.edges:
-        adj[index[i]] |= 1 << index[j]
-        adj[index[j]] |= 1 << index[i]
-
-    def clique_bound(mask: int) -> Weight:
-        bound: Weight = 0
-        rem = mask
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            clique = 1 << v
-            best_w = weights[v]
-            cand = rem & adj[v]
-            while cand:
-                u = (cand & -cand).bit_length() - 1
-                clique |= 1 << u
-                if weights[u] > best_w:
-                    best_w = weights[u]
-                cand &= adj[u]
-            bound += best_w
-            rem &= ~clique
-        return bound
-
+    weights, adj = _bitmasks(graph)
     best_value: Weight = -1
     best_set = 0
 
@@ -134,13 +147,14 @@ def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...
             if value > best_value:
                 best_value, best_set = value, picked
             return
-        if value + clique_bound(mask) <= best_value:
+        if value + _clique_cover(mask, weights, adj) <= best_value:
             return
         v = (mask & -mask).bit_length() - 1
         dfs(mask & ~(adj[v] | (1 << v)), picked | (1 << v), value + weights[v])
         dfs(mask & ~(1 << v), picked, value)
 
     dfs((1 << n) - 1, 0, 0)
+    ids = graph.vertex_ids()
     witness = tuple(ids[k] for k in range(n) if best_set >> k & 1)
     return best_value, witness
 
@@ -154,13 +168,22 @@ def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...
 THETA_MAX_ITERATIONS = 60
 
 
+# Why a theta solve stopped, most favourable first: alpha_w met a clique
+# cover (theta exact), the gap reached the accuracy, the iteration cap, or
+# roundoff cost the iterates their definiteness.
+THETA_STOPS = ("clique_cover", "gap", "iteration_cap", "lost_definiteness")
+
+
 @dataclass(frozen=True)
 class ThetaResult:
     """Certified value of the theta SDP.
 
     ``value`` is the midpoint of the primal/dual sandwich, so it sits within
     ``duality_gap / 2`` of the true optimum.  ``primal_certificate`` is a
-    feasible PSD matrix attaining ``primal_value``.
+    feasible PSD matrix attaining ``primal_value``.  The dual bound is the
+    interior-point dual, or a clique cover whose weight equals alpha_w: then
+    ``stop`` is ``"clique_cover"`` and theta = alpha_w exactly, with gap 0.
+    ``stop`` is one of ``THETA_STOPS``.
     """
 
     value: float
@@ -169,6 +192,7 @@ class ThetaResult:
     duality_gap: float
     primal_certificate: np.ndarray
     iterations: int
+    stop: str
 
     def to_json(self) -> dict:
         return {
@@ -177,6 +201,7 @@ class ThetaResult:
             "dual_value": self.dual_value,
             "duality_gap": self.duality_gap,
             "iterations": self.iterations,
+            "stop": self.stop,
         }
 
 
@@ -205,10 +230,13 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
 
     Theta is additive over connected components, so disconnected graphs are
     solved per component (sharper and better conditioned) and reassembled.
-    An isolated vertex has theta = w in closed form: certificate [[1]], gap 0
-    and no iterations, so an edgeless graph's theta is its exact weight sum.
-    ``THETA_MAX_ITERATIONS`` caps the interior-point iterations of each
-    connected component.
+    A component whose alpha_w equals the weight of ``_clique_cover`` has
+    theta = alpha_w exactly (alpha_w <= theta_w <= any clique cover): it is
+    returned with the rank-one independent-set certificate, gap 0 and no
+    iterations.  That covers every isolated vertex, so an edgeless graph's
+    theta is its exact weight sum, and every complete graph.  Other
+    components run the interior-point method, whose iterations
+    ``THETA_MAX_ITERATIONS`` caps.
     """
     n = graph.n
     if n == 0:
@@ -228,7 +256,8 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
     if result.duality_gap > accuracy:
         raise ThetaNonConvergenceError(
             f"gap {result.duality_gap:.3e} above accuracy {accuracy:.1e} "
-            f"after {result.iterations} interior-point iterations",
+            f"after {result.iterations} interior-point iterations "
+            f"(stopped: {result.stop.replace('_', ' ')})",
             best_primal=result.primal_value,
             best_dual=result.dual_value,
         )
@@ -271,13 +300,15 @@ def _combine_certificates(
 def _theta_from_components(
     graph: ExclusivityGraph, components: list[list[int]], accuracy: float
 ) -> ThetaResult:
-    """Theta per component (isolated vertices in closed form), summed."""
+    """Theta per component (isolated vertices in closed form), summed; the
+    stop reason is the least favourable of the components'."""
     order: list[int] = []
     X_accum = np.zeros((0, 0))
     sw_accum = np.zeros(0)
     primal_accum = 0.0
     dual = 0.0
     iterations = 0
+    stops = []
     for component in components:
         keep = set(component)
         sub = ExclusivityGraph(
@@ -294,6 +325,7 @@ def _theta_from_components(
         order.extend(component)
         dual += part.dual_value
         iterations += part.iterations
+        stops.append(part.stop)
 
     ids = graph.vertex_ids()
     pos = {vid: k for k, vid in enumerate(ids)}
@@ -309,6 +341,7 @@ def _theta_from_components(
         duality_gap=dual - primal,
         primal_certificate=X,
         iterations=iterations,
+        stop=max(stops, key=THETA_STOPS.index),
     )
 
 
@@ -317,10 +350,24 @@ def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaRe
     ids = graph.vertex_ids()
     index = {vid: k for k, vid in enumerate(ids)}
     w = np.array([float(v.weight) for v in graph.vertices])
-    if n == 1:  # an isolated vertex: theta = w exactly, no iterations
+    if n == 1:  # an isolated vertex is a clique: theta = w exactly
         value = float(w[0])
-        return ThetaResult(value, value, value, 0.0, np.ones((1, 1)), 0)
+        return ThetaResult(value, value, value, 0.0, np.ones((1, 1)), 0, "clique_cover")
     sw = np.sqrt(w)
+
+    # the independent-set indicator is an exact rank-one feasible point with
+    # value alpha_w, a floor for the primal bound; when a clique cover weighs
+    # no more, the sandwich alpha_w <= theta_w <= cover is closed
+    alpha, alpha_witness = independence_number(graph)
+    u = np.where(np.isin(ids, alpha_witness), sw, 0.0)
+    norm_sq = float(u @ u)
+    best_X = np.outer(u, u) / norm_sq if norm_sq > 0 else np.eye(n) / n
+    if _clique_cover((1 << n) - 1, *_bitmasks(graph)) == alpha:
+        # every bound is float(alpha), not sw @ best_X @ sw, which may round
+        # one ulp above it
+        value = float(alpha)
+        return ThetaResult(value, value, value, 0.0, best_X, 0, "clique_cover")
+
     Jw = np.outer(sw, sw)
     # edges are unique with i < j, so each fancy-indexed entry is hit once
     I, J = np.array([(index[i], index[j]) for i, j in graph.edges]).T
@@ -381,12 +428,6 @@ def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaRe
     y = np.zeros(1 + m)
     y[0] = float(np.linalg.eigvalsh(Jw)[-1]) + 1.0
 
-    # the independent-set indicator is an exact rank-one feasible point with
-    # value alpha_w, a floor for the primal bound
-    _, alpha_witness = independence_number(graph)
-    u = np.where(np.isin(ids, alpha_witness), sw, 0.0)
-    norm_sq = float(u @ u)
-    best_X = np.outer(u, u) / norm_sq if norm_sq > 0 else np.eye(n) / n
     primal = float(sw @ best_X @ sw)
     dual = math.inf
 
@@ -398,6 +439,7 @@ def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaRe
         if candidate > primal:
             primal, best_X = candidate, X_certified
         if dual - primal <= accuracy or iterations == THETA_MAX_ITERATIONS:
+            stop = "gap" if dual - primal <= accuracy else "iteration_cap"
             break
         LS_inv = np.linalg.inv(LS)
         Z = LS_inv.T @ LS_inv
@@ -414,7 +456,8 @@ def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaRe
         try:
             LX, LM = np.linalg.cholesky(X), lifted_cholesky(M)
         except np.linalg.LinAlgError:
-            break  # roundoff cost definiteness; the best bounds so far stand
+            stop = "lost_definiteness"  # the best bounds so far stand
+            break
         LX_inv, LM_inv = np.linalg.inv(LX), np.linalg.inv(LM)
 
         def direction(RZ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
@@ -443,6 +486,7 @@ def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaRe
         duality_gap=dual - primal,
         primal_certificate=best_X,
         iterations=iterations,
+        stop=stop,
     )
 
 

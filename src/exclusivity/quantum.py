@@ -38,7 +38,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import graphs
-from .classical import Behavior, enumerate_deterministic
+from .classical import Behavior
 from .scenario import (
     Event,
     ExclusivityGraph,
@@ -421,6 +421,9 @@ def ep_cover_check(events: Iterable[Event], scenario: Scenario) -> bool:
 
     Such a set saturates the exclusivity principle: the associated projectors
     resolve the identity, so any quantum behavior sums to exactly 1 on it.
+    Exclusive events occur on disjoint sets of strategies, and event e on
+    prod_{m not in e} |O_m| of them, so they cover each strategy exactly once
+    iff those counts sum to prod_m |O_m|; no strategy is enumerated.
     """
     from .scenario import are_exclusive
 
@@ -431,10 +434,11 @@ def ep_cover_check(events: Iterable[Event], scenario: Scenario) -> bool:
         for b in range(a + 1, len(events)):
             if not are_exclusive(events[a], events[b]):
                 return False
-    for strategy in enumerate_deterministic(scenario):
-        if sum(1 for e in events if strategy.occurs(e)) != 1:
-            return False
-    return True
+    outcomes = {m.id: m.num_outcomes for m in scenario.measurements}
+    covered = sum(
+        math.prod(k for m, k in outcomes.items() if m not in e.measurement_ids) for e in events
+    )
+    return covered == math.prod(outcomes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -70,3 +70,22 @@ def classical_max(events, scenario, weights=None):
         if value > best_value:
             best_value, best_strategy = value, strategy
     return best_value, best_strategy
+
+
+def ep_cover_by_enumeration(events, scenario):
+    """True when every deterministic strategy (one outcome per measurement,
+    any number of outcomes) makes exactly one of the events occur.
+
+    Two compatible events would occur together under some strategy, so this
+    also demands pairwise exclusivity.
+    """
+    ids = [m.id for m in scenario.measurements]
+    ranges = [range(m.num_outcomes) for m in scenario.measurements]
+    for outcomes in itertools.product(*ranges):
+        strategy = dict(zip(ids, outcomes))
+        occurring = sum(
+            all(strategy[m] == o for m, o in event.assignments) for event in events
+        )
+        if occurring != 1:
+            return False
+    return True

@@ -53,6 +53,27 @@ class TestGraphCommand:
         assert code == 0
         assert report["results"]["vertices"] == 16
 
+    def test_closed_sandwich_is_reported(self, tmp_path, capsys):
+        code, report = run(tmp_path, "graph", "2-2-2")
+        assert code == 0
+        theta = report["results"]["lovasz_theta"]
+        assert theta["stop"] == "clique_cover" and theta["duality_gap"] == 0.0
+        assert "exact: alpha meets a clique cover" in capsys.readouterr().out
+        _, pentagon = run(tmp_path, "graph", "pentagon", out_name="pentagon.json")
+        assert pentagon["results"]["lovasz_theta"]["stop"] == "gap"
+        assert "exact:" not in capsys.readouterr().out
+
+    def test_theta_left_out_above_16_vertices_is_said(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.scenario_to_json(scenario.bell_scenario((3, 2)))))
+        code, report = run(tmp_path, "graph", "--scenario-file", str(path))
+        assert code == 0
+        results = report["results"]
+        assert results["vertices"] == 24 and results["independence_number"] == 6
+        assert results["lovasz_theta"] is None
+        assert results["lovasz_theta_skipped"] == "24 vertices > 16"
+        assert "lovasz theta: not computed (24 vertices > 16)" in capsys.readouterr().out
+
     def test_unknown_builtin(self, tmp_path):
         assert main(["graph", "nonsense"]) == 2
 

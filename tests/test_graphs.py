@@ -305,6 +305,100 @@ class TestThetaCertificates:
             assert result.dual_value * co_dual >= graph.n - 1e-9
 
 
+def disjoint_union(first, second):
+    """``second`` relabelled after ``first``'s vertices, weights kept."""
+    shift = first.n
+    return ExclusivityGraph(
+        vertices=first.vertices
+        + tuple(GraphVertex(id=v.id + shift, weight=v.weight) for v in second.vertices),
+        edges=first.edges + tuple((i + shift, j + shift) for i, j in second.edges),
+    )
+
+
+def assert_feasible_certificate(graph, result):
+    X = result.primal_certificate
+    assert np.linalg.eigvalsh(X)[0] >= -1e-12
+    assert abs(np.trace(X) - 1.0) <= 1e-12
+    for i, j in graph.edges:
+        assert X[i, j] == 0.0 and X[j, i] == 0.0
+
+
+class TestThetaCliqueCover:
+    """alpha_w = clique cover closes the sandwich: theta is exact, no IPM."""
+
+    @staticmethod
+    def fraction_weighted_c6():
+        # the greedy cover pairs (0,1), (2,3), (4,5); their heavier ends
+        # 0, 2, 4 are independent, so the cover weighs alpha exactly
+        weights = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(1, 5),
+                   Fraction(3, 4), Fraction(1, 7))
+        return ExclusivityGraph(
+            vertices=tuple(GraphVertex(id=i, weight=w) for i, w in enumerate(weights)),
+            edges=cycle_graph(6).edges,
+        )
+
+    @pytest.mark.parametrize(
+        "name", ["K2", "K5", "K16", "C4", "C6", "C10", "co-C6", "co-C8", "co-K5+C4", "C6-fraction",
+                 "bell222", "co-bell222"],
+    )
+    def test_closing_graphs_are_exact(self, name):
+        bell = scenario.build_exclusivity_graph(scenario.bell_222())
+        graph = {
+            "K2": complete_graph(2), "K5": complete_graph(5), "K16": complete_graph(16),
+            "C4": cycle_graph(4), "C6": cycle_graph(6), "C10": cycle_graph(10),
+            "co-C6": complement(cycle_graph(6)), "co-C8": complement(cycle_graph(8)),
+            "co-K5+C4": disjoint_union(complement(complete_graph(5)), cycle_graph(4)),
+            "C6-fraction": self.fraction_weighted_c6(), "bell222": bell, "co-bell222": complement(bell),
+        }[name]
+        alpha, _ = independence_number(graph)
+        result = lovasz_theta(graph)
+        assert result.stop == "clique_cover" and result.to_json()["stop"] == "clique_cover"
+        assert result.iterations == 0
+        assert result.duality_gap == 0.0
+        assert result.value == result.primal_value == result.dual_value == float(alpha)
+        assert_feasible_certificate(graph, result)
+        root = np.sqrt([float(v.weight) for v in graph.vertices])
+        assert abs(root @ result.primal_certificate @ root - float(alpha)) <= 1e-12 * float(alpha)
+
+    def test_union_with_a_non_closing_component(self):
+        # K3 closes with no iterations; C5, solved after it, needs the
+        # interior-point method, so the union does not report a closed sandwich
+        graph = disjoint_union(complete_graph(3), cycle_graph(5))
+        result = lovasz_theta(graph)
+        assert result.stop == "gap"
+        # each of the two components is solved to half the accuracy
+        c5 = graphs._lovasz_theta_connected(cycle_graph(5), 0.5e-7)
+        assert result.iterations == c5.iterations > 0
+        assert abs(result.value - (SQRT5 + 1.0)) <= 1e-7
+        assert 0.0 < result.duality_gap <= 1e-7
+        assert_feasible_certificate(graph, result)
+
+    def test_non_closing_graphs_report_the_gap(self):
+        for graph in (cycle_graph(5), cycle_graph(7), paley13()):
+            result = lovasz_theta(graph)
+            assert result.stop == "gap" and result.iterations > 0
+
+    def test_iteration_cap_is_named(self, monkeypatch):
+        monkeypatch.setattr(graphs, "THETA_MAX_ITERATIONS", 2)
+        with pytest.raises(ThetaNonConvergenceError, match="stopped: iteration cap"):
+            lovasz_theta(cycle_graph(5))
+
+    @settings(max_examples=60, deadline=None)
+    @given(weighted_graphs())
+    def test_early_exit_agrees_with_the_interior_point_method(self, case):
+        graph, _ = case
+        exit_result = lovasz_theta(graph)
+        with pytest.MonkeyPatch.context() as mp:
+            # no cover ever closes the sandwich; alpha's branch and bound
+            # then searches without pruning, which stays exact
+            mp.setattr(graphs, "_clique_cover", lambda *args: math.inf)
+            forced = lovasz_theta(graph)
+        assert forced.stop in ("gap", "clique_cover")  # isolated vertices stay closed form
+        assert abs(forced.value - exit_result.value) <= 1e-7
+        if exit_result.stop == "clique_cover":
+            assert exit_result.duality_gap == 0.0
+
+
 class TestComplement:
     def test_pentagon_self_complementary(self):
         c5 = cycle_graph(5)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -28,7 +29,7 @@ from exclusivity.quantum import (
     model_vertex_probabilities,
 )
 from exclusivity.scenario import are_exclusive, bell_222, bell_event, enumerate_events
-from oracles import bell_event_indices, bell_probabilities, outcome_kets
+from oracles import bell_event_indices, bell_probabilities, ep_cover_by_enumeration, outcome_kets
 
 
 def party_kets(model, party):
@@ -220,6 +221,37 @@ class TestEpCover:
     def test_contexts_are_covers(self, bell222):
         for ctx in bell222.contexts:
             assert ep_cover_check(bell222.context_events(ctx), bell222)
+
+    def test_counting_matches_enumeration_on_small_subsets(self, bell222):
+        events = enumerate_events(bell222)
+        covers = 0
+        for r in range(5):
+            for subset in itertools.combinations(events, r):
+                expected = ep_cover_by_enumeration(subset, bell222)
+                assert ep_cover_check(subset, bell222) == expected, [str(e) for e in subset]
+                covers += expected
+        # the four contexts plus the mixed covers, such as the B1 direction's
+        assert covers > 4
+
+    def test_three_outcomes(self):
+        s = scenario.bell_scenario((2, 2), 3)
+        assert ep_cover_check(s.context_events(("A0", "B0")), s)
+        assert not ep_cover_check(s.context_events(("A0", "B0"))[1:], s)
+        # A0 = 0 and A0 = 2 resolved by B0, A0 = 1 by B1
+        mixed = [
+            scenario.Event((("A0", a), (bob, b))) for a, bob in ((0, "B0"), (1, "B1"), (2, "B0"))
+            for b in range(3)
+        ]
+        assert ep_cover_check(mixed, s) and ep_cover_by_enumeration(mixed, s)
+        assert not ep_cover_check(mixed[:-1], s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_three_outcome_subsets_match_enumeration(self, data):
+        s = scenario.bell_scenario((2, 2), 3)
+        events = enumerate_events(s)
+        picks = data.draw(st.lists(st.sampled_from(events), max_size=9, unique=True))
+        assert ep_cover_check(picks, s) == ep_cover_by_enumeration(picks, s)
 
     @settings(max_examples=25, deadline=None)
     @given(random_models)
