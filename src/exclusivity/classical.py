@@ -163,14 +163,6 @@ def classical_paradox_max(
 # JSON round-trips
 
 
-def strategy_to_json(strategy: DeterministicStrategy) -> dict:
-    return {"outcomes": [[m, o] for m, o in strategy.outcomes]}
-
-
-def strategy_from_json(data: Mapping) -> DeterministicStrategy:
-    return DeterministicStrategy(tuple((str(m), int(o)) for m, o in data["outcomes"]))
-
-
 def behavior_to_json(behavior: Behavior) -> dict:
     return {
         "scenario": scenario_to_json(behavior.scenario),

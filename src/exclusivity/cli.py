@@ -432,9 +432,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text if args.json else _human_summary(args.command, payload))
-    if args.command == "optimize" and not payload.get("feasible", True):
-        return 1
-    if args.command == "tables" and not payload.get("feasible", True):
+    if args.command in ("optimize", "tables") and not payload.get("feasible", True):
         return 1
     return 0
 

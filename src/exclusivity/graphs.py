@@ -65,7 +65,7 @@ def complete_graph(n: int) -> ExclusivityGraph:
 def cycle_graph(n: int) -> ExclusivityGraph:
     return ExclusivityGraph(
         vertices=tuple(GraphVertex(id=i) for i in range(n)),
-        edges=tuple((i, (i + 1) % n) for i in range(n)) if n > 2 else (((0, 1),) if n == 2 else ()),
+        edges=tuple((i, (i + 1) % n) for i in range(n)) if n > 1 else (),
     )
 
 
@@ -264,49 +264,31 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
     return result
 
 
-def _combine_certificates(
-    X1: np.ndarray, sw1: np.ndarray, p1: float, X2: np.ndarray, sw2: np.ndarray, p2: float
-) -> tuple[np.ndarray, float]:
-    """Merge feasible certificates of vertex-disjoint graphs.
-
-    With a = X1 sw1 / sqrt(p1) and b = X2 sw2 / sqrt(p2) the block matrix
-    [[alpha X1, gamma a b^T], [gamma b a^T, beta X2]] is feasible for the
-    union (cross entries are unconstrained) and attains p1 + p2 when
-    alpha = p1/(p1+p2) and gamma = sqrt(alpha beta): theta is additive over
-    components exactly because of these cross terms.
-    """
-    n1, n2 = len(sw1), len(sw2)
-    if n1 == 0:
-        return X2, p2
-    total = p1 + p2
-    if total <= 0.0:
-        X = np.zeros((n1 + n2, n1 + n2))
-        X[:n1, :n1] = 0.5 * X1
-        X[n1:, n1:] = 0.5 * X2
-        return X, 0.0
-    alpha, beta = p1 / total, p2 / total
-    X = np.zeros((n1 + n2, n1 + n2))
-    X[:n1, :n1] = alpha * X1
-    X[n1:, n1:] = beta * X2
-    if p1 > 0.0 and p2 > 0.0:
-        a = X1 @ sw1 / math.sqrt(p1)
-        b = X2 @ sw2 / math.sqrt(p2)
-        cross = math.sqrt(alpha * beta) * np.outer(a, b)
-        X[:n1, n1:] = cross
-        X[n1:, :n1] = cross.T
-    return X, total
-
-
 def _theta_from_components(
     graph: ExclusivityGraph, components: list[list[int]], accuracy: float
 ) -> ThetaResult:
-    """Theta per component (isolated vertices in closed form), summed; the
-    stop reason is the least favourable of the components'."""
-    order: list[int] = []
-    X_accum = np.zeros((0, 0))
-    sw_accum = np.zeros(0)
-    primal_accum = 0.0
-    dual = 0.0
+    """Theta per component, summed; the stop reason is the least favourable
+    of the components'.
+
+    The components' certificates X_k (trace 1, value p_k = sw_k^T X_k sw_k)
+    merge in one step: with c_k = X_k sw_k, c their concatenation and
+    P = sum_k p_k,
+
+        X = (blockdiag_k(p_k X_k - c_k c_k^T) + c c^T) / P.
+
+    Its diagonal blocks are p_k X_k / P, so edge entries stay exactly zero,
+    and its cross blocks c_k c_l^T / P, which no constraint touches.  Each
+    p_k X_k - c_k c_k^T is p_k times the Schur complement of p_k in the PSD
+    matrix [X_k, c_k; c_k^T, p_k] (and zero when p_k = 0, which forces
+    c_k = 0), so it is PSD, and adding c c^T keeps X PSD.  Then
+    tr X = sum_k p_k / P = 1 and sw^T X sw = (sum_k (p_k^2 - p_k^2) + P^2) / P
+    = P: theta is additive over components because of the cross blocks.
+    When P = 0 every weight is zero and X = I/n.
+    """
+    index = {vid: k for k, vid in enumerate(graph.vertex_ids())}
+    X = np.zeros((graph.n, graph.n))
+    c = np.zeros(graph.n)
+    primal = dual = 0.0
     iterations = 0
     stops = []
     for component in components:
@@ -316,24 +298,15 @@ def _theta_from_components(
             edges=tuple(e for e in graph.edges if e[0] in keep),
         )
         part = _lovasz_theta_connected(sub, accuracy / len(components))
-        sw_part = np.sqrt([float(v.weight) for v in sub.vertices])
-        X_accum, primal_accum = _combine_certificates(
-            X_accum, sw_accum, primal_accum,
-            part.primal_certificate, sw_part, part.primal_value,
-        )
-        sw_accum = np.concatenate([sw_accum, sw_part])
-        order.extend(component)
+        pos = [index[vid] for vid in sub.vertex_ids()]
+        c_k = part.primal_certificate @ np.sqrt([float(v.weight) for v in sub.vertices])
+        X[np.ix_(pos, pos)] = part.primal_value * part.primal_certificate - np.outer(c_k, c_k)
+        c[pos] = c_k
+        primal += part.primal_value
         dual += part.dual_value
         iterations += part.iterations
         stops.append(part.stop)
-
-    ids = graph.vertex_ids()
-    pos = {vid: k for k, vid in enumerate(ids)}
-    perm = np.zeros((len(ids), len(ids)))
-    for where, vid in enumerate(order):
-        perm[pos[vid], where] = 1.0
-    X = perm @ X_accum @ perm.T
-    primal = float(primal_accum)
+    X = (X + np.outer(c, c)) / primal if primal > 0.0 else np.eye(graph.n) / graph.n
     return ThetaResult(
         value=0.5 * (primal + dual),
         primal_value=primal,

@@ -1,10 +1,13 @@
 """Probability and correlator inequalities on exclusivity graphs.
 
-Event-sum inequalities  sum_i P(e_i) <= alpha(G)  get their classical bound
-from the independence number of the induced graph (cross-checked at
-construction).  The edge-correlator inequality on the CHSH graph uses
-dichotomic +-1 observables per vertex; with outcome "0" mapped to value +1
-and outcome "1" to value -1, exclusivity (p(1,1|i,j) = 0 on edges) gives
+Every inequality the paper states as a sum of event probabilities is an
+event-sum bound  sum_i P(e_i) <= alpha(G)  (CHSH <= 3, KCBS <= 2): an
+``InequalitySpec`` holds its events and the classical bound, which
+construction cross-checks against the independence number of the events'
+graph.  The edge-correlator inequality on the CHSH graph needs no spec; it
+uses dichotomic +-1 observables per vertex, and with outcome "0" mapped to
+value +1 and outcome "1" to value -1, exclusivity (p(1,1|i,j) = 0 on edges)
+gives
 
     <A_i A_j> = 1 - 2 [p(1|i) + p(1|j)]
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 from . import graphs
 from .classical import Behavior
@@ -51,38 +54,26 @@ def _num(x: Number):
 
 @dataclass(frozen=True)
 class InequalitySpec:
-    """An event-sum or edge-correlator inequality with its classical bound."""
+    """An event-sum inequality  sum_i P(e_i) <= classical_bound."""
 
     name: str
-    kind: str  # "event-sum" | "edge-correlator"
     classical_bound: Number
-    direction: str  # "<=" | ">="
-    events: tuple[Event, ...] = ()
-    graph: Optional[ExclusivityGraph] = None
+    events: tuple[Event, ...]
 
     def __post_init__(self):
-        if self.kind not in ("event-sum", "edge-correlator"):
-            raise ValueError(f"unknown inequality kind {self.kind!r}")
-        if self.direction not in ("<=", ">="):
-            raise ValueError(f"unknown direction {self.direction!r}")
-        if self.kind == "event-sum":
-            if not self.events:
-                raise ValueError("event-sum inequality needs events")
-            alpha, _ = graphs.independence_number(graph_from_events(list(self.events)))
-            if alpha != self.classical_bound:
-                raise ValueError(
-                    f"stated bound {self.classical_bound} != independence number {alpha}"
-                )
-        elif self.graph is None:
-            raise ValueError("edge-correlator inequality needs a graph")
+        if not self.events:
+            raise ValueError("event-sum inequality needs events")
+        alpha, _ = graphs.independence_number(graph_from_events(list(self.events)))
+        if alpha != self.classical_bound:
+            raise ValueError(
+                f"stated bound {self.classical_bound} != independence number {alpha}"
+            )
 
 
 def chsh_probability_inequality() -> InequalitySpec:
     return InequalitySpec(
         name="chsh-probability",
-        kind="event-sum",
         classical_bound=CHSH_CLASSICAL_BOUND,
-        direction="<=",
         events=tuple(chsh_events()),
     )
 
@@ -90,9 +81,7 @@ def chsh_probability_inequality() -> InequalitySpec:
 def kcbs_inequality() -> InequalitySpec:
     return InequalitySpec(
         name="kcbs",
-        kind="event-sum",
         classical_bound=KCBS_CLASSICAL_BOUND,
-        direction="<=",
         events=tuple(hardy_pentagon_events()),
     )
 
@@ -102,7 +91,6 @@ class InequalityEvaluation:
     name: str
     value: Number
     bound: Number
-    direction: str
     violated: bool
     breakdown: tuple[tuple[str, Number], ...]
 
@@ -112,25 +100,20 @@ class InequalityEvaluation:
             "value": _num(self.value),
             "value_float": float(self.value),
             "bound": _num(self.bound),
-            "direction": self.direction,
+            "direction": "<=",
             "violated": self.violated,
             "breakdown": {label: _num(v) for label, v in self.breakdown},
         }
 
 
 def evaluate_event_sum(spec: InequalitySpec, behavior: Behavior) -> InequalityEvaluation:
-    if spec.kind != "event-sum":
-        raise ValueError("not an event-sum inequality")
     terms = [(str(e), behavior.probability(e)) for e in spec.events]
     value: Number = sum(v for _, v in terms)
-    violated = float(value) > float(spec.classical_bound) + 1e-12 if spec.direction == "<=" \
-        else float(value) < float(spec.classical_bound) - 1e-12
     return InequalityEvaluation(
         name=spec.name,
         value=value,
         bound=spec.classical_bound,
-        direction=spec.direction,
-        violated=violated,
+        violated=float(value) > float(spec.classical_bound) + 1e-12,
         breakdown=tuple(terms),
     )
 

@@ -608,16 +608,18 @@ def maximize_kcbs_qutrit(
     if dimension < 1:
         raise ValueError("dimension must be positive")
 
+    labels = [f"edge{e}" for e in PENTAGON_EDGES]
+    if constrained:
+        labels += [f"saturation{p}" for p in PENTAGON_SATURATION_PAIRS]
+
     if dimension == 1:
-        # vectors are +-1; every edge inner product is +-1, never 0
-        residuals = [1.0] * len(PENTAGON_EDGES)
-        if constrained:
-            residuals += [abs(1.0 + 1.0 - 1.0)] * len(PENTAGON_SATURATION_PAIRS)
+        # vectors are +-1: every edge inner product is +-1, never 0, and
+        # every saturation pair sums to 2
         return OptimizationResult(
             task=task,
             best_value=5.0,
-            best_parameters={"vectors": [[1.0]] * 5, "dimension": 1},
-            best_residuals={f"edge{e}": r for e, r in zip(PENTAGON_EDGES, residuals)},
+            best_parameters={"vectors": [[1.0]] * 5, "handle": [1.0], "dimension": 1},
+            best_residuals=dict.fromkeys(labels, 1.0),
             feasible=False,
             classification=None,
             restarts_completed=0,
@@ -632,9 +634,6 @@ def maximize_kcbs_qutrit(
     def describe(x: np.ndarray):
         v, _ = _spherical(x.reshape(5, per_vector))
         residuals = evaluate(x)[2]
-        labels = [f"edge{e}" for e in PENTAGON_EDGES]
-        if constrained:
-            labels += [f"saturation{p}" for p in PENTAGON_SATURATION_PAIRS]
         return (
             {
                 "vectors": [[float(c) for c in vec] for vec in v],

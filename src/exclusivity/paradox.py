@@ -31,8 +31,6 @@ from .scenario import (
     bell_222,
     bell_event,
     contextual_chsh_scenario,
-    event_from_json,
-    event_to_json,
 )
 
 Number = Union[int, float, Fraction]
@@ -239,30 +237,4 @@ def verify(behavior: Behavior, spec: ParadoxSpec, tol: float = DEFAULT_TOL) -> V
         zero_residuals=zero_residuals,
         saturation_residuals=saturation_residuals,
         tolerance=tol,
-    )
-
-
-def spec_to_json(spec: ParadoxSpec) -> dict:
-    from .scenario import scenario_to_json
-
-    return {
-        "name": spec.name,
-        "scenario": scenario_to_json(spec.scenario),
-        "zero_events": [event_to_json(e) for e in spec.zero_events],
-        "positive_events": [event_to_json(e) for e in spec.positive_events],
-        "saturation_sets": [[event_to_json(e) for e in sat] for sat in spec.saturation_sets],
-    }
-
-
-def spec_from_json(data) -> ParadoxSpec:
-    from .scenario import scenario_from_json
-
-    return ParadoxSpec(
-        name=str(data["name"]),
-        scenario=scenario_from_json(data["scenario"]),
-        zero_events=tuple(event_from_json(e) for e in data["zero_events"]),
-        positive_events=tuple(event_from_json(e) for e in data["positive_events"]),
-        saturation_sets=tuple(
-            tuple(event_from_json(e) for e in sat) for sat in data["saturation_sets"]
-        ),
     )

@@ -47,7 +47,6 @@ from .scenario import (
     atomic_event,
     bell_222,
     bell_event,
-    chsh_event_graph,
     contextual_chsh_scenario,
     enumerate_events,
 )
@@ -174,11 +173,6 @@ class StateVector:
         return cls.from_amplitudes([complex(re, im) for re, im in data["amplitudes"]])
 
 
-def born_probability(state: StateVector, vector: StateVector) -> Union[Fraction, float]:
-    """|<vector|state>|^2, the outcome probability of a rank-one projector."""
-    return vector.born(state)
-
-
 @dataclass(frozen=True)
 class SqrtFraction:
     """sign * sqrt(square) with rational square; exact decomposition weights."""
@@ -213,8 +207,9 @@ _CONSTRUCTION_VECTORS: dict[int, tuple[tuple[int, int, int, int], int]] = {
 }
 
 # Vertex -> 2-2-2 event dictionary tying the construction to the CHSH
-# expression.  Derived once by pinned isomorphism search (see
-# derive_chsh_vertex_event_mapping) and frozen here; a test revalidates it.
+# expression: an isomorphism of the construction's orthogonality graph onto
+# the CHSH event graph with the positive vertices 1 and 8 on the positive
+# events (01|00) and (01|10).  A test checks it pair by pair.
 CHSH_VERTEX_EVENT_LABELS: dict[int, str] = {
     1: "01|00",
     2: "10|01",
@@ -308,28 +303,9 @@ def chsh_construction() -> QuantumContextModel:
 def model_vertex_probabilities(model: QuantumContextModel) -> dict[int, Union[Fraction, float]]:
     """p(1|i) = |<v_i|psi>|^2 for every vertex of the model."""
     return {
-        vid: born_probability(model.handle, vec)
+        vid: vec.born(model.handle)
         for vid, vec in sorted(model.vertex_vectors.items())
     }
-
-
-def derive_chsh_vertex_event_mapping() -> dict[int, Event]:
-    """Recompute the construction-vertex -> CHSH-event dictionary.
-
-    The positive vertices 1 and 8 are pinned to the two positive events
-    (01|00) and (01|10); the rest is fixed by isomorphism search in canonical
-    order.  Any automorphic variant would serve equally, the pinning just
-    makes the choice reproducible.
-    """
-    event_graph = chsh_event_graph()
-    pins = {
-        1: event_graph.vertex_by_event(bell_event("01|00")).id,
-        8: event_graph.vertex_by_event(bell_event("01|10")).id,
-    }
-    mapping = graphs.find_vertex_event_mapping(contextual_chsh_graph(), event_graph, pins=pins)
-    if mapping is None:
-        raise RuntimeError("construction orthogonality graph is not the CHSH graph")
-    return {i: event_graph.event_of(j) for i, j in mapping.items()}
 
 
 def chsh_vertex_event_mapping() -> dict[int, Event]:

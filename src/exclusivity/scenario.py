@@ -303,19 +303,12 @@ class ExclusivityGraph:
         return all(d == degree for d in self.degrees().values())
 
 
-def graph_from_events(
-    events: Sequence[Event],
-    ids: Optional[Sequence[int]] = None,
-    weights: Optional[Sequence[Weight]] = None,
-) -> ExclusivityGraph:
-    """Graph on the given events with edges from the exclusivity predicate."""
-    ids = list(range(len(events))) if ids is None else list(ids)
-    weights = [1] * len(events) if weights is None else list(weights)
-    vertices = tuple(
-        GraphVertex(id=i, event=e, weight=w) for i, e, w in zip(ids, events, weights)
-    )
+def graph_from_events(events: Sequence[Event]) -> ExclusivityGraph:
+    """Graph on the given events, vertex ``k`` carrying ``events[k]`` with
+    unit weight, with edges from the exclusivity predicate."""
+    vertices = tuple(GraphVertex(id=k, event=e) for k, e in enumerate(events))
     edges = tuple(
-        (ids[a], ids[b])
+        (a, b)
         for a in range(len(events))
         for b in range(a + 1, len(events))
         if are_exclusive(events[a], events[b])

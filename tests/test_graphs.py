@@ -323,6 +323,32 @@ def assert_feasible_certificate(graph, result):
         assert X[i, j] == 0.0 and X[j, i] == 0.0
 
 
+def weighted_cycle(n, weight):
+    return ExclusivityGraph(
+        vertices=tuple(GraphVertex(id=i, weight=weight) for i in range(n)),
+        edges=cycle_graph(n).edges,
+    )
+
+
+class TestThetaBlockMerge:
+    """Disconnected graphs merge their components' certificates in one step."""
+
+    @pytest.mark.parametrize("name", ["0*C5+C7", "0*(C5+C7)", "co-K16", "C5+C7"])
+    def test_merged_certificate_is_feasible_and_attains_the_primal(self, name):
+        graph = {
+            "0*C5+C7": disjoint_union(weighted_cycle(5, 0), cycle_graph(7)),
+            "0*(C5+C7)": disjoint_union(weighted_cycle(5, 0), weighted_cycle(7, 0)),
+            "co-K16": complement(complete_graph(16)),
+            "C5+C7": disjoint_union(cycle_graph(5), cycle_graph(7)),
+        }[name]
+        components = graphs._connected_components(graph)
+        assert len(components) > 1
+        result = graphs._theta_from_components(graph, components, 1e-7)
+        assert_feasible_certificate(graph, result)
+        root = np.sqrt([float(v.weight) for v in graph.vertices])
+        assert abs(root @ result.primal_certificate @ root - result.primal_value) <= 1e-9
+
+
 class TestThetaCliqueCover:
     """alpha_w = clique cover closes the sandwich: theta is exact, no IPM."""
 

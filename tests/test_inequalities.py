@@ -196,13 +196,7 @@ class TestEventSumSpecs:
         from exclusivity.inequalities import InequalitySpec
 
         with pytest.raises(ValueError):
-            InequalitySpec(
-                name="bad",
-                kind="event-sum",
-                classical_bound=4,
-                direction="<=",
-                events=tuple(chsh_events()),
-            )
+            InequalitySpec(name="bad", classical_bound=4, events=tuple(chsh_events()))
 
     def test_evaluation(self):
         behavior = quantum.construction_bell_behavior()

@@ -172,6 +172,15 @@ class TestKcbs:
         result = maximize_kcbs_qutrit(False, OptimizerConfig(restarts=2, seed=1), dimension=1)
         assert not result.feasible
 
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_dimension_one_reports_the_same_keys(self, constrained):
+        config = OptimizerConfig(restarts=2, seed=1)
+        one = maximize_kcbs_qutrit(constrained, config, dimension=1)
+        three = maximize_kcbs_qutrit(constrained, config, dimension=3)
+        assert one.best_residuals.keys() == three.best_residuals.keys()
+        assert one.best_parameters.keys() == three.best_parameters.keys()
+        assert len(one.best_residuals) == (7 if constrained else 5)
+
     def test_vectors_are_unit_and_cycle_orthogonal(self):
         result = maximize_kcbs_qutrit(False, OptimizerConfig(restarts=6, seed=9))
         vectors = [np.array(v) for v in result.best_parameters["vectors"]]

@@ -10,8 +10,6 @@ from exclusivity.paradox import (
     contextual_chsh_paradox_spec,
     hardy_spec,
     reduce_saturation_sets,
-    spec_from_json,
-    spec_to_json,
     verify,
 )
 from exclusivity.scenario import bell_222, bell_event
@@ -212,10 +210,3 @@ class TestSaturationIdentity:
         value = inequalities.s_chsh(behavior)
         p_hardy = u1 + u2
         assert float(value) == pytest.approx(3 + p_hardy, abs=1e-12)
-
-
-class TestSpecJson:
-    def test_round_trip(self):
-        for builder in (hardy_spec, chsh_paradox_spec, contextual_chsh_paradox_spec):
-            spec = builder()
-            assert spec_from_json(spec_to_json(spec)) == spec

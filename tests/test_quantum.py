@@ -17,14 +17,12 @@ from exclusivity.quantum import (
     StateVector,
     bell_event_probabilities,
     bell_local_behavior,
-    born_probability,
     chsh_vertex_event_mapping,
     construction_bell_behavior,
     construction_handle,
     construction_vectors,
     contextual_behavior,
     contextual_chsh_graph,
-    derive_chsh_vertex_event_mapping,
     ep_cover_check,
     model_vertex_probabilities,
 )
@@ -73,27 +71,27 @@ class TestStateVector:
     def test_born_paper_values(self):
         psi = construction_handle()
         vecs = construction_vectors()
-        assert born_probability(psi, vecs[1]) == Fraction(1, 12)
-        assert born_probability(psi, vecs[2]) == Fraction(1, 2)
-        assert born_probability(psi, vecs[4]) == Fraction(1, 3)
-        assert born_probability(psi, vecs[5]) == Fraction(2, 3)
+        assert vecs[1].born(psi) == Fraction(1, 12)
+        assert vecs[2].born(psi) == Fraction(1, 2)
+        assert vecs[4].born(psi) == Fraction(1, 3)
+        assert vecs[5].born(psi) == Fraction(2, 3)
 
     def test_born_orthogonal_and_self(self):
         e0 = StateVector.exact([1, 0], 1)
         e1 = StateVector.exact([0, 1], 1)
-        assert born_probability(e0, e1) == 0
-        assert born_probability(e0, e0) == 1
+        assert e1.born(e0) == 0
+        assert e0.born(e0) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            born_probability(StateVector.exact([1, 0], 1), StateVector.exact([1, 0, 0], 1))
+            StateVector.exact([1, 0, 0], 1).born(StateVector.exact([1, 0], 1))
 
     def test_complex_exact_inner(self):
         v = StateVector.exact([(1, 1), (0, 0)], 2)
         assert v.norm_sq() == 1
         w = StateVector.exact([(0, 0), (1, -1)], 2)
         assert v.inner_is_zero(w)
-        assert born_probability(v, w) == 0
+        assert w.born(v) == 0
 
     def test_float_track(self):
         v = StateVector.from_amplitudes([1 / math.sqrt(2), 1j / math.sqrt(2)])
@@ -146,8 +144,16 @@ class TestConstruction:
         for i, j in ((2, 3), (4, 5), (6, 7)):
             assert probs[i] + probs[j] == 1
 
-    def test_frozen_mapping_matches_derivation(self):
-        assert chsh_vertex_event_mapping() == derive_chsh_vertex_event_mapping()
+    def test_frozen_mapping_is_an_isomorphism(self):
+        # a bijection onto the CHSH events that maps edges to exclusive
+        # pairs and non-edges to non-exclusive ones
+        mapping = chsh_vertex_event_mapping()
+        contextual = contextual_chsh_graph()
+        assert sorted(mapping) == sorted(contextual.vertex_ids())
+        assert len(set(mapping.values())) == len(mapping)
+        assert set(mapping.values()) == set(scenario.chsh_events())
+        for i, j in itertools.combinations(sorted(mapping), 2):
+            assert contextual.has_edge(i, j) == are_exclusive(mapping[i], mapping[j]), (i, j)
 
     def test_mapping_is_isomorphism_pinned_to_positive_events(self, chsh_graph):
         mapping = chsh_vertex_event_mapping()
