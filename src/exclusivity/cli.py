@@ -67,31 +67,25 @@ def _load_json(path: str):
         raise InputError(f"malformed JSON in {path}: {err}")
 
 
-BUILTIN_GRAPHS = ("2-2-2", "chsh", "pentagon", "chsh-contextual")
+# builtin inputs by name; each value looks its function up when called, so
+# a wrapper set on the module is the one that runs
+BUILTIN_GRAPHS = {
+    "2-2-2": lambda: scenario.build_exclusivity_graph(scenario.bell_222()),
+    "chsh": lambda: scenario.chsh_event_graph(),
+    "pentagon": lambda: scenario.pentagon_event_graph(),
+    "chsh-contextual": lambda: quantum.contextual_chsh_graph(),
+}
+BUILTIN_BEHAVIORS = {
+    "construction": lambda: quantum.contextual_behavior(quantum.chsh_construction()),
+    "construction-bell": lambda: quantum.construction_bell_behavior(),
+    "tsirelson": lambda: inequalities.tsirelson_counterexample(),
+}
 
 
-def _builtin_graph(name: str) -> scenario.ExclusivityGraph:
-    if name == "2-2-2":
-        return scenario.build_exclusivity_graph(scenario.bell_222())
-    if name == "chsh":
-        return scenario.chsh_event_graph()
-    if name == "pentagon":
-        return scenario.pentagon_event_graph()
-    if name == "chsh-contextual":
-        return quantum.contextual_chsh_graph()
-    raise InputError(f"unknown builtin graph {name!r}; choose from {BUILTIN_GRAPHS}")
-
-
-def _builtin_behavior(name: str) -> classical.Behavior:
-    if name == "construction":
-        return quantum.contextual_behavior(quantum.chsh_construction())
-    if name == "construction-bell":
-        return quantum.construction_bell_behavior()
-    if name == "tsirelson":
-        return inequalities.tsirelson_counterexample()
-    raise InputError(
-        f"unknown builtin behavior {name!r}; choose construction, construction-bell, tsirelson"
-    )
+def _builtin(kind: str, builtins: dict, name: str):
+    if name not in builtins:
+        raise InputError(f"unknown builtin {kind} {name!r}; choose from {', '.join(builtins)}")
+    return builtins[name]()
 
 
 def _resolve_behavior(ref: str) -> classical.Behavior:
@@ -100,7 +94,7 @@ def _resolve_behavior(ref: str) -> classical.Behavior:
             return classical.behavior_from_json(_load_json(ref))
         except (KeyError, ValueError, TypeError) as err:
             raise InputError(f"invalid behavior file {ref}: {err}")
-    return _builtin_behavior(ref)
+    return _builtin("behavior", BUILTIN_BEHAVIORS, ref)
 
 
 def cmd_graph(args) -> dict:
@@ -108,17 +102,23 @@ def cmd_graph(args) -> dict:
     if args.scenario_file:
         data = _load_json(args.scenario_file)
         try:
-            graph = scenario.build_exclusivity_graph(scenario.scenario_from_json(data))
+            parsed = scenario.scenario_from_json(data)
         except (KeyError, ValueError, TypeError) as err:
             raise InputError(f"invalid scenario file {args.scenario_file}: {err}")
+        events = sum(  # counted before the events are built and every pair is tested
+            math.prod(parsed.measurement(m).num_outcomes for m in ctx) for ctx in parsed.contexts
+        )
+        if events > graphs.ALPHA_MAX_VERTICES:
+            raise InputError(
+                f"scenario has {events} events; independence_number supports "
+                f"<= {graphs.ALPHA_MAX_VERTICES} vertices"
+            )
+        graph = scenario.build_exclusivity_graph(parsed)
         name = args.scenario_file
     else:
-        graph = _builtin_graph(args.name)
+        graph = _builtin("graph", BUILTIN_GRAPHS, args.name)
         name = args.name
-    try:
-        alpha, witness = graphs.independence_number(graph)
-    except graphs.GraphTooLargeError as err:
-        raise InputError(str(err))
+    alpha, witness = graphs.independence_number(graph)
     payload = {
         "name": name,
         "graph": scenario.graph_to_json(graph),
@@ -128,11 +128,11 @@ def cmd_graph(args) -> dict:
         "independence_witness": sorted(witness),
         "odd_holes_5": [list(h) for h in graphs.find_odd_holes(graph, 5)],
     }
-    if graph.n <= 16:
+    if graph.n <= graphs.THETA_MAX_VERTICES:
         payload["lovasz_theta"] = graphs.lovasz_theta(graph, accuracy=accuracy).to_json()
     else:  # alpha still stands, so this is no failure
         payload["lovasz_theta"] = None
-        payload["lovasz_theta_skipped"] = f"{graph.n} vertices > 16"
+        payload["lovasz_theta_skipped"] = f"{graph.n} vertices > {graphs.THETA_MAX_VERTICES}"
     return payload
 
 
@@ -161,23 +161,27 @@ def _optimizer_config(args, default: optimize.OptimizerConfig) -> optimize.Optim
         raise InputError(str(err))
 
 
-OPTIMIZE_TASKS = tuple(optimize.DEFAULT_CONFIGS)
+def _kcbs_qutrit(config: optimize.OptimizerConfig, args) -> optimize.OptimizationResult:
+    if args.dimension < 1:
+        raise InputError(f"--dimension must be positive, got {args.dimension}")
+    return optimize.maximize_kcbs_qutrit(
+        constrained=args.constrained, config=config, dimension=args.dimension
+    )
+
+
+# keyed like optimize.DEFAULT_CONFIGS; values look up their function as above
+OPTIMIZE_TASKS = {
+    "hardy-local": lambda config, args: optimize.maximize_hardy_local(config),
+    "chsh-paradox-local": lambda config, args: optimize.maximize_chsh_paradox_local(config),
+    "kcbs-qutrit": _kcbs_qutrit,
+}
 
 
 def cmd_optimize(args) -> dict:
-    if args.task not in optimize.DEFAULT_CONFIGS:
-        raise InputError(f"unknown task {args.task!r}; choose from {OPTIMIZE_TASKS}")
+    if args.task not in OPTIMIZE_TASKS:
+        raise InputError(f"unknown task {args.task!r}; choose from {', '.join(OPTIMIZE_TASKS)}")
     config = _optimizer_config(args, optimize.DEFAULT_CONFIGS[args.task])
-    if args.task == "hardy-local":
-        result = optimize.maximize_hardy_local(config)
-    elif args.task == "chsh-paradox-local":
-        result = optimize.maximize_chsh_paradox_local(config)
-    else:
-        if args.dimension < 1:
-            raise InputError(f"--dimension must be positive, got {args.dimension}")
-        result = optimize.maximize_kcbs_qutrit(
-            constrained=args.constrained, config=config, dimension=args.dimension
-        )
+    result = OPTIMIZE_TASKS[args.task](config, args)
     payload = result.to_json()
     payload["config"] = dataclasses.asdict(config)
     return payload
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("verify", help="verify a behavior against a paradox spec")
-    p.add_argument("behavior", help="behavior JSON file or builtin name")
+    p.add_argument("behavior", help=f"behavior file or builtin: {', '.join(BUILTIN_BEHAVIORS)}")
     p.add_argument("spec", help=f"spec name: {', '.join(sorted(paradox.BUILTIN_SPECS))}")
     tolerance(p)
     p.set_defaults(func=cmd_verify)

@@ -36,6 +36,10 @@ import numpy as np
 from .scenario import ExclusivityGraph, GraphVertex, Weight
 
 
+ALPHA_MAX_VERTICES = 32
+THETA_MAX_VERTICES = 16
+
+
 class GraphTooLargeError(ValueError):
     """The graph exceeds the size supported by an exact computation."""
 
@@ -129,12 +133,14 @@ def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...
 
     Branch and bound over bitmasks; branches include the lowest-id candidate
     vertex first, so ties resolve to the canonically smallest witness.  The
-    upper bound is ``_clique_cover`` of the candidates.  Limited to 32
-    vertices.
+    upper bound is ``_clique_cover`` of the candidates.  Limited to
+    ``ALPHA_MAX_VERTICES`` vertices.
     """
     n = graph.n
-    if n > 32:
-        raise GraphTooLargeError(f"independence_number supports <= 32 vertices, got {n}")
+    if n > ALPHA_MAX_VERTICES:
+        raise GraphTooLargeError(
+            f"independence_number supports <= {ALPHA_MAX_VERTICES} vertices, got {n}"
+        )
     if n == 0:
         return 0, ()
     weights, adj = _bitmasks(graph)
@@ -241,8 +247,8 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
     n = graph.n
     if n == 0:
         raise ValueError("empty graph")
-    if n > 16:
-        raise GraphTooLargeError(f"lovasz_theta supports <= 16 vertices, got {n}")
+    if n > THETA_MAX_VERTICES:
+        raise GraphTooLargeError(f"lovasz_theta supports <= {THETA_MAX_VERTICES} vertices, got {n}")
     if not math.isfinite(accuracy):
         raise ValueError(f"accuracy must be finite, got {accuracy!r}")
     if accuracy < 1e-7:
@@ -475,8 +481,8 @@ def find_odd_holes(graph: ExclusivityGraph, length: int) -> list[tuple[int, ...]
     """
     if length % 2 == 0 or length < 5:
         raise ValueError("length must be odd and at least 5")
-    if graph.n > 32:
-        raise GraphTooLargeError("find_odd_holes supports <= 32 vertices")
+    if graph.n > ALPHA_MAX_VERTICES:
+        raise GraphTooLargeError(f"find_odd_holes supports <= {ALPHA_MAX_VERTICES} vertices")
     adj = graph.adjacency()
     ids = sorted(graph.vertex_ids())
     holes: list[tuple[int, ...]] = []
@@ -518,7 +524,6 @@ class OrthonormalRepresentation:
     used here.
     """
 
-    dimension: int
     vectors: Mapping[int, Any]
     handle: Optional[Any] = None
 

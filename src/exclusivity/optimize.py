@@ -555,7 +555,6 @@ PENTAGON_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
 PENTAGON_SATURATION_PAIRS = ((0, 1), (2, 3))
 _EDGES = np.array(PENTAGON_EDGES)
 _SATURATION_PAIRS = np.array(PENTAGON_SATURATION_PAIRS)
-PENTAGON_POSITIVE_VERTEX = 4
 
 
 def _pair_rows(pairs: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ vanish, events whose probability sum must be strictly positive, and
 saturation sets whose probabilities must each sum to exactly 1.  The
 saturation sets arise from exclusivity-principle covers (four mutually
 exclusive events covering all outcomes of the 2-2-2 scenario) after the zero
-conditions remove some members; the builders perform that reduction
-explicitly, so each shipped specification documents its own derivation.
+conditions remove some members.  The Bell builders list their covers and
+reduce them once, checking each cover with ``ep_cover_check``; a reduced set
+plus the zeros it lost is that cover, so this one check proves it.
 
 Verification takes any behavior (classical, quantum, or raw numbers from a
 file) and reports every residual.  Strict positivity is implemented as
@@ -19,39 +20,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence, Union
 
 from .classical import Behavior
 from .quantum import contextual_chsh_graph, ep_cover_check
-from .scenario import (
-    Event,
-    Scenario,
-    atomic_event,
-    bell_222,
-    bell_event,
-    contextual_chsh_scenario,
-)
+from .scenario import Event, Scenario, atomic_event, bell_222, bell_event
 
 Number = Union[int, float, Fraction]
 
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SaturationReduction:
-    """A full exclusivity cover, the zero events dropped, and what remains."""
-
-    full: tuple[Event, ...]
-    removed: tuple[Event, ...]
-    reduced: tuple[Event, ...]
-
-
 def reduce_saturation_sets(
     full_sets: Sequence[Sequence[Event]],
     zeros: Sequence[Event],
     scenario: Scenario,
-) -> list[SaturationReduction]:
+) -> tuple[tuple[Event, ...], ...]:
     """Drop zero-condition events from full exclusivity covers.
 
     Each input set must pass ``ep_cover_check`` (mutually exclusive and
@@ -59,67 +43,52 @@ def reduce_saturation_sets(
     behavior; removing events forced to probability zero preserves the sum.
     """
     zero_set = set(zeros)
-    reductions = []
+    reduced = []
     for full in full_sets:
         full = tuple(full)
         if not ep_cover_check(full, scenario):
             raise ValueError(
                 f"saturation source {[str(e) for e in full]} is not an exclusivity cover"
             )
-        removed = tuple(e for e in full if e in zero_set)
-        reduced = tuple(e for e in full if e not in zero_set)
-        reductions.append(SaturationReduction(full=full, removed=removed, reduced=reduced))
-    return reductions
+        reduced.append(tuple(e for e in full if e not in zero_set))
+    return tuple(reduced)
 
 
 @dataclass(frozen=True)
 class ParadoxSpec:
     """Zero conditions, a positive sum, and unit saturation sums."""
 
-    name: str
-    scenario: Scenario
     zero_events: tuple[Event, ...]
     positive_events: tuple[Event, ...]
     saturation_sets: tuple[tuple[Event, ...], ...]
 
 
-def _validate_bell_saturations(spec: ParadoxSpec) -> None:
-    # every saturation set must extend to an exclusivity cover using only
-    # the spec's own zero events
-    zeros = list(spec.zero_events)
-    for sat in spec.saturation_sets:
-        if not any(
-            ep_cover_check(tuple(sat) + subset, spec.scenario)
-            for r in range(len(zeros) + 1)
-            for subset in combinations(zeros, r)
-        ):
-            raise ValueError(
-                f"saturation set {[str(e) for e in sat]} has no exclusivity cover"
-            )
+def _bell_spec(
+    zeros: Sequence[str], positives: Sequence[str], covers: Sequence[Sequence[str]]
+) -> ParadoxSpec:
+    """A 2-2-2 spec from event labels: each saturation set is one
+    exclusivity cover less the zero events."""
+    zero_events = tuple(map(bell_event, zeros))
+    return ParadoxSpec(
+        zero_events=zero_events,
+        positive_events=tuple(map(bell_event, positives)),
+        saturation_sets=reduce_saturation_sets(
+            [tuple(map(bell_event, cover)) for cover in covers], zero_events, bell_222()
+        ),
+    )
 
 
 def hardy_spec() -> ParadoxSpec:
     """The two-qubit logical paradox: P(00|00) > 0 under three zeros.
 
-    The saturation pairs are derived on the fly from the two four-event
-    exclusivity covers of the B1 and A1 measurement directions.
+    The saturation pairs are derived from the two four-event exclusivity
+    covers of the B1 and A1 measurement directions.
     """
-    scenario = bell_222()
-    zeros = (bell_event("00|01"), bell_event("00|10"), bell_event("11|11"))
-    full_sets = (
-        tuple(bell_event(s) for s in ("00|01", "10|01", "01|11", "11|11")),
-        tuple(bell_event(s) for s in ("01|10", "00|10", "11|11", "10|11")),
+    return _bell_spec(
+        zeros=("00|01", "00|10", "11|11"),
+        positives=("00|00",),
+        covers=(("00|01", "10|01", "01|11", "11|11"), ("01|10", "00|10", "11|11", "10|11")),
     )
-    reductions = reduce_saturation_sets(full_sets, zeros, scenario)
-    spec = ParadoxSpec(
-        name="hardy",
-        scenario=scenario,
-        zero_events=zeros,
-        positive_events=(bell_event("00|00"),),
-        saturation_sets=tuple(r.reduced for r in reductions),
-    )
-    _validate_bell_saturations(spec)
-    return spec
 
 
 def chsh_paradox_spec() -> ParadoxSpec:
@@ -131,23 +100,15 @@ def chsh_paradox_spec() -> ParadoxSpec:
     {(11|10), (01|11), (00|11)} that keeps the four events mutually
     exclusive and covering.
     """
-    scenario = bell_222()
-    zeros = tuple(bell_event(s) for s in ("11|00", "00|01", "11|10", "01|11"))
-    full_sets = (
-        tuple(bell_event(s) for s in ("11|00", "00|01", "10|00", "01|01")),
-        tuple(bell_event(s) for s in ("00|01", "01|11", "10|01", "11|11")),
-        tuple(bell_event(s) for s in ("11|10", "01|11", "00|11", "10|10")),
+    return _bell_spec(
+        zeros=("11|00", "00|01", "11|10", "01|11"),
+        positives=("01|00", "01|10"),
+        covers=(
+            ("11|00", "00|01", "10|00", "01|01"),
+            ("00|01", "01|11", "10|01", "11|11"),
+            ("11|10", "01|11", "00|11", "10|10"),
+        ),
     )
-    reductions = reduce_saturation_sets(full_sets, zeros, scenario)
-    spec = ParadoxSpec(
-        name="chsh",
-        scenario=scenario,
-        zero_events=zeros,
-        positive_events=(bell_event("01|00"), bell_event("01|10")),
-        saturation_sets=tuple(r.reduced for r in reductions),
-    )
-    _validate_bell_saturations(spec)
-    return spec
 
 
 def contextual_chsh_paradox_spec() -> ParadoxSpec:
@@ -158,23 +119,17 @@ def contextual_chsh_paradox_spec() -> ParadoxSpec:
     the contextual CHSH graph instead of as deterministic covers.  The zero
     conditions are absorbed into the saturations.
     """
-    scenario = contextual_chsh_scenario()
-    saturations = tuple(
-        (atomic_event(f"A{i}", 1), atomic_event(f"A{j}", 1))
-        for i, j in ((2, 3), (4, 5), (6, 7))
-    )
+    pairs = ((2, 3), (4, 5), (6, 7))
     graph = contextual_chsh_graph()
-    for (e1, e2) in saturations:
-        i = int(e1.measurement_ids[0][1:])
-        j = int(e2.measurement_ids[0][1:])
+    for i, j in pairs:
         if not graph.has_edge(i, j):
             raise ValueError(f"saturation pair ({i},{j}) is not an exclusive edge")
     return ParadoxSpec(
-        name="chsh-contextual",
-        scenario=scenario,
         zero_events=(),
         positive_events=(atomic_event("A1", 1), atomic_event("A8", 1)),
-        saturation_sets=saturations,
+        saturation_sets=tuple(
+            (atomic_event(f"A{i}", 1), atomic_event(f"A{j}", 1)) for i, j in pairs
+        ),
     )
 
 

@@ -158,20 +158,6 @@ class StateVector:
             return Fraction(re * re + im * im, d)
         return float(abs(self.inner(other)) ** 2)
 
-    def to_json(self) -> dict:
-        if self.is_exact:
-            return {"dim": self.dim, "num": [list(g) for g in self.num], "den_sq": self.den_sq}
-        return {
-            "dim": self.dim,
-            "amplitudes": [[z.real, z.imag] for z in self.floats],
-        }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "StateVector":
-        if "num" in data:
-            return cls.exact([tuple(g) for g in data["num"]], int(data["den_sq"]))
-        return cls.from_amplitudes([complex(re, im) for re, im in data["amplitudes"]])
-
 
 @dataclass(frozen=True)
 class SqrtFraction:
@@ -277,18 +263,7 @@ class QuantumContextModel:
             raise ValueError(f"not an orthonormal representation: {report.to_json()}")
 
     def representation(self) -> graphs.OrthonormalRepresentation:
-        return graphs.OrthonormalRepresentation(
-            dimension=self.handle.dim, vectors=self.vertex_vectors, handle=self.handle
-        )
-
-    def to_json(self) -> dict:
-        from .scenario import graph_to_json
-
-        return {
-            "graph": graph_to_json(self.graph),
-            "vertex_vectors": {str(i): v.to_json() for i, v in sorted(self.vertex_vectors.items())},
-            "handle": self.handle.to_json(),
-        }
+        return graphs.OrthonormalRepresentation(vectors=self.vertex_vectors, handle=self.handle)
 
 
 def chsh_construction() -> QuantumContextModel:

@@ -18,6 +18,7 @@ so JSON artifacts and witness sets are reproducible across runs.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -382,10 +383,24 @@ def number_to_json(w: Weight):
 
 
 def number_from_json(w) -> Weight:
-    """Inverse of ``number_to_json``."""
-    if isinstance(w, str):
-        return Fraction(w)
-    return w
+    """Inverse of ``number_to_json``; ``ValueError`` unless ``w`` is a JSON
+    number or a ``Fraction`` string, finite as a float."""
+    if isinstance(w, bool) or not isinstance(w, (int, float, str)):
+        raise ValueError(f"expected a number, got {w!r}")
+    try:
+        value = Fraction(w) if isinstance(w, str) else w
+        if math.isfinite(value):
+            return value
+    except (ZeroDivisionError, OverflowError):
+        pass
+    raise ValueError(f"{w!r} is not a finite number")
+
+
+def _int_from_json(value) -> int:
+    """A JSON integer; floats and booleans raise ``ValueError``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def event_to_json(event: Event) -> list:
@@ -393,7 +408,7 @@ def event_to_json(event: Event) -> list:
 
 
 def event_from_json(data) -> Event:
-    return Event(tuple((str(m), int(o)) for m, o in data))
+    return Event(tuple((str(m), _int_from_json(o)) for m, o in data))
 
 
 def graph_to_json(graph: ExclusivityGraph) -> dict:
@@ -436,11 +451,11 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 def scenario_from_json(data: Mapping) -> Scenario:
     return Scenario(
-        parties=int(data["parties"]),
+        parties=_int_from_json(data["parties"]),
         measurements=tuple(
             Measurement(
-                id=str(m["id"]), party=int(m["party"]),
-                num_outcomes=int(m.get("num_outcomes", 2)),
+                id=str(m["id"]), party=_int_from_json(m["party"]),
+                num_outcomes=_int_from_json(m.get("num_outcomes", 2)),
             )
             for m in data["measurements"]
         ),

@@ -116,8 +116,6 @@ class TestParadoxMax:
 
     def test_unconstrained_positive_event(self, bell222):
         spec = paradox.ParadoxSpec(
-            name="free",
-            scenario=bell222,
             zero_events=(),
             positive_events=(bell_event("00|00"),),
             saturation_sets=(),

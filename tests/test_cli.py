@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from exclusivity import classical, graphs, optimize, scenario
+from exclusivity import classical, cli, graphs, optimize, quantum, scenario
 from exclusivity.cli import main
 
 
@@ -88,6 +88,34 @@ class TestGraphCommand:
         assert main(["graph", "--scenario-file", str(path)]) == 2
         assert "<= 32 vertices" in capsys.readouterr().err
 
+    def test_scenario_events_are_counted_before_the_graph_is_built(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # five parties used to take seconds of pair tests to reach the cap
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario.scenario_to_json(scenario.bell_scenario((2,) * 5))))
+
+        def fail(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(scenario, "build_exclusivity_graph", fail)
+        assert main(["graph", "--scenario-file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "1024 events" in err and "<= 32 vertices" in err
+
+    @pytest.mark.parametrize("field", ["parties", "num_outcomes"])
+    def test_overflowing_scenario_number_is_an_input_error(self, tmp_path, field):
+        data = scenario.scenario_to_json(scenario.bell_222())
+        (data if field == "parties" else data["measurements"][0])[field] = "HUGE"
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+        assert main(["graph", "--scenario-file", str(path)]) == 2
+
+    def test_theta_cap_is_read_from_graphs(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graphs, "THETA_MAX_VERTICES", 7)
+        code, report = run(tmp_path, "graph", "chsh")
+        assert code == 0 and report["results"]["lovasz_theta_skipped"] == "8 vertices > 7"
+
     @pytest.mark.parametrize("tol", ["inf", "nan", "0", "1e-8"])
     def test_tolerance_outside_theta_range(self, capsys, tol):
         # --tol inf used to print theta = 4 with gap 4 for the pentagon, and
@@ -150,6 +178,15 @@ class TestVerifyCommand:
         path = tmp_path / "bad2.json"
         path.write_text(json.dumps({"scenario": {}, "probabilities": []}))
         assert main(["verify", str(path), "chsh"]) == 2
+
+    @pytest.mark.parametrize("probability", ["1/0", "1e400"])
+    def test_unreadable_probability_is_an_input_error(self, tmp_path, capsys, probability):
+        data = classical.behavior_to_json(quantum.construction_bell_behavior())
+        data["probabilities"][0][1] = probability
+        path = tmp_path / "behavior.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path), "chsh"]) == 2
+        assert "invalid behavior file" in capsys.readouterr().err
 
     def test_unknown_spec(self, tmp_path):
         assert main(["verify", "construction", "nope"]) == 2
@@ -249,6 +286,9 @@ class TestOptimizeCommand:
         monkeypatch.setattr(optimize, function, stub)
         assert main(["optimize", task]) == 0
         assert received == [optimize.OptimizerConfig(restarts=restarts, seed=20240)]
+
+    def test_task_table_covers_the_library_tasks(self):
+        assert cli.OPTIMIZE_TASKS.keys() == optimize.DEFAULT_CONFIGS.keys()
 
     def test_determinism_of_payload(self, tmp_path):
         _, first = run(tmp_path, "optimize", "hardy-local", "--restarts", "2", "--seed", "9",

@@ -488,7 +488,7 @@ class TestOrthonormalRepresentation:
     def test_swapped_labels_violate(self, construction):
         vectors = dict(construction.vertex_vectors)
         vectors[2], vectors[3] = vectors[3], vectors[2]
-        rep = OrthonormalRepresentation(dimension=4, vectors=vectors)
+        rep = OrthonormalRepresentation(vectors=vectors)
         report = verify_orthonormal_representation(construction.graph, rep)
         assert not report.valid
         violations = dict(report.edge_violations)
@@ -500,19 +500,19 @@ class TestOrthonormalRepresentation:
             i: quantum.StateVector.exact([1 if k == i else 0 for k in range(3)], 1)
             for i in range(3)
         }
-        rep = OrthonormalRepresentation(dimension=3, vectors=vectors)
+        rep = OrthonormalRepresentation(vectors=vectors)
         assert verify_orthonormal_representation(edgeless_graph(3), rep).valid
 
     def test_missing_vector(self, construction):
         vectors = dict(construction.vertex_vectors)
         del vectors[5]
-        rep = OrthonormalRepresentation(dimension=4, vectors=vectors)
+        rep = OrthonormalRepresentation(vectors=vectors)
         with pytest.raises(ValueError):
             verify_orthonormal_representation(construction.graph, rep)
 
     def test_non_unit_float_vector_reported(self):
         vectors = {0: quantum.StateVector.from_amplitudes([0.9, 0.1])}
-        rep = OrthonormalRepresentation(dimension=2, vectors=vectors)
+        rep = OrthonormalRepresentation(vectors=vectors)
         report = verify_orthonormal_representation(edgeless_graph(1), rep)
         assert not report.valid
 
@@ -532,7 +532,7 @@ def umbrella_representation():
             ]
         )
     handle = quantum.StateVector.from_amplitudes([0.0, 0.0, 1.0])
-    return OrthonormalRepresentation(dimension=3, vectors=vectors, handle=handle)
+    return OrthonormalRepresentation(vectors=vectors, handle=handle)
 
 
 class TestThetaLowerBound:
@@ -542,7 +542,6 @@ class TestThetaLowerBound:
 
     def test_orthogonal_handle_gives_zero(self, construction):
         rep = OrthonormalRepresentation(
-            dimension=4,
             vectors=construction.vertex_vectors,
             handle=quantum.StateVector.exact([0, 0, 1, -2], 5),
         )
@@ -550,7 +549,7 @@ class TestThetaLowerBound:
         # none exists here, so check the trivial case on an edgeless graph
         basis = {0: quantum.StateVector.exact([1, 0], 1)}
         rep0 = OrthonormalRepresentation(
-            dimension=2, vectors=basis, handle=quantum.StateVector.exact([0, 1], 1)
+            vectors=basis, handle=quantum.StateVector.exact([0, 1], 1)
         )
         assert theta_lower_bound(edgeless_graph(1), rep0) == 0
 
@@ -560,7 +559,7 @@ class TestThetaLowerBound:
             1: quantum.StateVector.exact([1, 1], 2),
         }
         rep = OrthonormalRepresentation(
-            dimension=2, vectors=basis, handle=quantum.StateVector.exact([1, 0], 1)
+            vectors=basis, handle=quantum.StateVector.exact([1, 0], 1)
         )
         assert theta_lower_bound(edgeless_graph(2), rep) >= 1
 
@@ -572,7 +571,7 @@ class TestThetaLowerBound:
         assert report.valid
 
     def test_no_handle_error(self, construction):
-        rep = OrthonormalRepresentation(dimension=4, vectors=construction.vertex_vectors)
+        rep = OrthonormalRepresentation(vectors=construction.vertex_vectors)
         with pytest.raises(ValueError):
             theta_lower_bound(construction.graph, rep)
 
@@ -598,7 +597,7 @@ class TestThetaLowerBound:
                 )
                 for v in g.vertex_ids()
             }
-            rep = OrthonormalRepresentation(dimension=dim, vectors=vectors, handle=handle)
+            rep = OrthonormalRepresentation(vectors=vectors, handle=handle)
             bound = theta_lower_bound(g, rep)
             theta = lovasz_theta(g)
             assert bound <= theta.value + theta.duality_gap + 1e-7

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -101,19 +102,32 @@ class TestReduction:
             bell_events("01|10", "00|10", "11|11", "10|11"),
         ]
         reductions = reduce_saturation_sets(full, zeros, bell_222())
-        assert reductions[0].reduced == bell_events("10|01", "01|11")
-        assert set(reductions[0].removed) == set(bell_events("00|01", "11|11"))
-        assert reductions[1].reduced == bell_events("01|10", "10|11")
+        assert reductions[0] == bell_events("10|01", "01|11")
+        assert reductions[1] == bell_events("01|10", "10|11")
 
     def test_no_zeros_is_identity(self):
         full = [bell_events("00|01", "10|01", "01|11", "11|11")]
         reductions = reduce_saturation_sets(full, (), bell_222())
-        assert reductions[0].reduced == full[0]
-        assert reductions[0].removed == ()
+        assert reductions[0] == full[0]
 
     def test_non_cover_rejected(self):
         with pytest.raises(ValueError):
             reduce_saturation_sets([bell_events("00|00", "11|11")], (), bell_222())
+
+
+class TestSaturationCovers:
+    @pytest.mark.parametrize("builder", [hardy_spec, chsh_paradox_spec])
+    def test_zeros_complete_each_set_to_a_cover(self, builder):
+        # the property the builders derive once: some of the spec's zeros
+        # turn each saturation set back into an exclusivity cover
+        spec = builder()
+        zeros = spec.zero_events
+        for sat in spec.saturation_sets:
+            assert any(
+                quantum.ep_cover_check(sat + subset, bell_222())
+                for r in range(len(zeros) + 1)
+                for subset in combinations(zeros, r)
+            ), [str(e) for e in sat]
 
 
 class TestVerify:

@@ -98,13 +98,6 @@ class TestStateVector:
         assert v.norm_sq() == pytest.approx(1.0)
         assert not v.is_exact
 
-    def test_json_round_trip(self):
-        v = StateVector.exact([(1, 0), (1, 0), (0, 0), (0, 0)], 2)
-        assert StateVector.from_json(v.to_json()) == v
-        f = StateVector.from_amplitudes([0.6, 0.8j])
-        f2 = StateVector.from_json(f.to_json())
-        assert np.allclose(f2.amplitudes, f.amplitudes)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             StateVector(dim=2, num=((1, 0), (0, 0)), den_sq=1, floats=(1.0, 0.0))

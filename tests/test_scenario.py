@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from exclusivity.scenario import (
     hardy_pentagon_events,
     graph_from_json,
     graph_to_json,
+    number_from_json,
     scenario_from_json,
     scenario_to_json,
     subgraph,
@@ -310,3 +313,47 @@ class TestJson:
         assert scenario_from_json(scenario_to_json(s)) == s
         assert len(s.measurements) == 8
         assert len(s.contexts) == 8
+
+
+NOT_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+# each loader's bad inputs by kind; the huge ones overflow a float, and for
+# an integer field any float is wrong, however large
+BAD_NUMBERS = {
+    "non-finite": NOT_FINITE,
+    "huge": st.one_of(
+        st.integers(309, 2000).map(lambda k: f"1e{k}"),
+        st.integers(309, 2000).map(lambda k: -(10**k)),
+    ),
+    "boolean": st.booleans(),
+    "zero-denominator": st.integers().map(lambda k: f"{k}/0"),
+}
+BAD_INTEGERS = {
+    "non-finite": NOT_FINITE,
+    "huge": st.floats(1e16, 1e308) | st.just(1e400),
+    "fractional": st.floats(-1e6, 1e6).filter(lambda x: not x.is_integer()),
+    "boolean": st.booleans(),
+}
+
+
+def load_with_integer(field: str, value):
+    """Load an event or the 2-2-2 scenario with ``value`` in one integer field."""
+    if field == "outcome":
+        return scenario.event_from_json([["A0", value]])
+    data = scenario_to_json(bell_222())
+    (data if field == "parties" else data["measurements"][0])[field] = value
+    return scenario_from_json(data)
+
+
+class TestJsonRejects:
+    @pytest.mark.parametrize("kind", sorted(BAD_NUMBERS))
+    @given(data=st.data())
+    def test_number_loader(self, kind, data):
+        with pytest.raises(ValueError):
+            number_from_json(data.draw(BAD_NUMBERS[kind]))
+
+    @pytest.mark.parametrize("kind", sorted(BAD_INTEGERS))
+    @given(data=st.data())
+    def test_integer_fields(self, kind, data):
+        field = data.draw(st.sampled_from(["outcome", "parties", "party", "num_outcomes"]))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_with_integer(field, data.draw(BAD_INTEGERS[kind]))
