@@ -11,6 +11,7 @@ that is the 16 assignments (a0, a1, b0, b1).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Mapping, Optional, Union
@@ -84,7 +85,11 @@ class Behavior:
         object.__setattr__(self, "probabilities", probs)
         for event, p in probs.items():
             self.scenario.check_event(event)
-            if not -self.NORMALIZATION_TOL <= float(p) < float("inf"):
+            try:
+                in_range = -self.NORMALIZATION_TOL <= float(p) < float("inf")
+            except OverflowError:  # an exact number too large for a float
+                in_range = False
+            if not in_range:
                 raise ValueError(f"probability {p} for {event} is negative or not finite")
         for ctx in self.scenario.contexts:
             events = self.scenario.context_events(ctx)
@@ -93,9 +98,12 @@ class Behavior:
                 raise MissingEventError(
                     f"behavior misses events {[str(e) for e in missing]} of context {ctx}"
                 )
-            total = sum(probs[e] for e in events)
-            if abs(float(total) - 1.0) > self.NORMALIZATION_TOL:
-                raise ValueError(f"context {ctx} sums to {float(total)}, expected 1")
+            try:
+                total = float(sum(probs[e] for e in events))
+            except OverflowError:  # exact terms beyond a float, in float() or in sum()
+                total = math.inf
+            if abs(total - 1.0) > self.NORMALIZATION_TOL:
+                raise ValueError(f"context {ctx} sums to {total}, expected 1")
 
     def probability(self, event: Event) -> Probability:
         try:

@@ -15,10 +15,12 @@ exactly feasible starts, Mehrotra predictor-corrector steps along the HKM
 direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIOPT 1996) give a
 certified sandwich at every iterate: t once S passes Cholesky, and X with its
 edge entries zeroed, shifted to PSD and scaled to trace 1.  Before any of
-that, alpha_w <= theta_w <= the weight of any clique partition (Lovasz 1979):
-when the greedy partition that bounds alpha's search weighs exactly alpha_w,
-theta is alpha_w exactly, certified by the independent set's indicator, and
-no interior-point iteration runs.
+that, alpha_w <= theta_w <= the weight of any fractional clique cover
+(Lovasz 1979): when a budgeted search finds a clique partition of weight
+alpha_w, each clique anchored on one vertex of alpha's witness, or a small
+simplex finds a fractional cover of that weight, checked in exact
+arithmetic, theta is alpha_w exactly, certified by the independent set's
+indicator, and no interior-point iteration runs.
 
 Orthonormal representations of the complement (unit vector per vertex,
 adjacent vertices orthogonal) give constructive lower bounds on theta via
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 import numpy as np
@@ -173,10 +176,198 @@ def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...
 # reached when the iterates stall.
 THETA_MAX_ITERATIONS = 60
 
+# Cap on the nodes of the anchored clique-partition search of one connected
+# solve.  Random graphs of up to 16 vertices need at most a few hundred; past
+# the cap the interior-point method runs, which costs time, never exactness.
+THETA_PARTITION_MAX_NODES = 2000
 
-# Why a theta solve stopped, most favourable first: alpha_w met a clique
-# cover (theta exact), the gap reached the accuracy, the iteration cap, or
-# roundoff cost the iterates their definiteness.
+
+def _anchored_clique_partition(
+    weights: list[Weight], adj: list[int], witness: int, budget: int
+) -> Optional[list[int]]:
+    """Cliques partitioning the graph that weigh alpha_w, or None.
+
+    ``witness`` is the bitmask of a maximum-weight independent set S.  Each
+    positive-weight vertex outside S joins the clique of one adjacent s in S
+    with w_s >= its own weight, adjacent to every vertex already there;
+    zero-weight vertices outside S are left out (as singletons they cost 0).
+    Returns one clique bitmask per vertex of S, in vertex order.  Each clique
+    costs its heaviest vertex, its anchor s, so the partition weighs
+    sum_{s in S} w_s = alpha_w: theta_w is alpha_w exactly.
+
+    The search is complete.  In any clique partition of weight alpha_w each
+    clique C holds at most one vertex of S, and sum_C max_C w >=
+    sum_C w(C & S) = alpha_w, so equality puts in every positive-weight
+    clique one vertex of S, its heaviest member.  Dropping the zero-weight
+    vertices outside S from such a partition gives an assignment this search
+    tries.  So it finds a partition whenever one exists, whichever maximum
+    S it is given; in particular whenever the greedy ``_clique_cover`` weighs
+    alpha_w.  Depth-first, the vertices with fewest anchors placed first;
+    each call is a node, the root included, and after ``budget`` nodes the
+    search gives up with None.
+    """
+    anchors = [s for s in range(len(weights)) if witness >> s & 1]
+    todo = []
+    for v, w in enumerate(weights):
+        if witness >> v & 1 or w == 0:
+            continue
+        options = [s for s in anchors if adj[v] >> s & 1 and weights[s] >= w]
+        if not options:
+            return None
+        todo.append((len(options), v, options))
+    todo.sort()
+    cliques = {s: 1 << s for s in anchors}
+    nodes = 0
+
+    def place(k: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            return False
+        if k == len(todo):
+            return True
+        _, v, options = todo[k]
+        for s in options:
+            if cliques[s] & ~adj[v] == 0:
+                cliques[s] |= 1 << v
+                if place(k + 1):
+                    return True
+                cliques[s] &= ~(1 << v)
+        return False
+
+    return list(cliques.values()) if place(0) else None
+
+
+# Cap on the simplex pivots of the fractional clique-cover check of one
+# connected solve.  The benchmark's graphs need at most a few dozen; past the
+# cap the interior-point method runs, which costs time, never exactness.
+THETA_COVER_MAX_PIVOTS = 200
+
+
+def _maximal_cliques(mask: int, adj: list[int]) -> list[int]:
+    """Maximal cliques of the subgraph induced by ``mask`` (Bron-Kerbosch
+    with pivoting), as bitmasks; ``[0]`` when ``mask`` is empty."""
+    cliques = []
+
+    def expand(clique: int, cand: int, done: int):
+        if not cand | done:
+            cliques.append(clique)
+            return
+        # the pivot has the most neighbours in cand; only the candidates it
+        # is not adjacent to need branches of their own
+        rest, most = cand | done, -1
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if (cand & adj[u]).bit_count() > most:
+                pivot, most = u, (cand & adj[u]).bit_count()
+        rest = cand & ~adj[pivot]
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            expand(clique | 1 << v, cand & adj[v], done & adj[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    expand(0, mask, 0)
+    return cliques
+
+
+def _fractional_clique_cover(
+    weights: list[Weight], adj: list[int], witness: int
+) -> Optional[tuple[int, list[tuple[int, int]]]]:
+    """An exact fractional clique cover of weight alpha_w, or None.
+
+    ``witness`` is the bitmask of a maximum-weight independent set S.
+    Returns ``(q, [(clique, Y), ...])``: clique weights y_C = Y/q > 0 with
+    sum_{C ni v} y_C >= w_v for every vertex and sum_C y_C = alpha_w.  Then
+    theta_w is alpha_w exactly, since theta_w = max w.x over TH(G), which lies
+    inside QSTAB(G) = {x >= 0 : x(C) <= 1 for every clique C}, whose LP dual
+    is the fractional clique cover (Lovasz 1979; Grotschel, Lovasz and
+    Schrijver 1986).  A clique partition is the integral case, so this
+    closes whatever ``_anchored_clique_partition`` closes.
+
+    As there, sum_C y_C >= sum_C y_C |C & S| >= alpha_w, with equality only
+    if every clique of positive y_C holds one vertex s of S and the cliques
+    through s weigh w_s in all.  So the columns are the maximal cliques
+    through each positive-weight s in S, maximal in s's neighbourhood among
+    the positive-weight vertices (a larger clique only covers more), and
+    the check is the feasibility problem
+
+        sum_{C ni s} y_C = w_s (s in S),  sum_{C ni v} y_C >= w_v (v not in S),
+
+    solved by phase one of a dense float simplex with Bland's rule, stopped
+    after ``THETA_COVER_MAX_PIVOTS`` pivots (then None unless the basis is
+    already feasible).  A feasible basis B
+    has y with common denominator q = |det B| * lcm(weight denominators), so
+    y*q is rounded to integers Y and every constraint is checked again in
+    exact arithmetic: roundoff (or a float weight, whose denominator makes q
+    too large to round to) can cost a closure, never exactness.
+    """
+    anchors = [s for s, w in enumerate(weights) if witness >> s & 1 and w > 0]
+    demand = [v for v, w in enumerate(weights) if not witness >> v & 1 and w > 0]
+    demand_mask = sum(1 << v for v in demand)
+    columns = [
+        1 << s | clique
+        for s in anchors
+        for clique in _maximal_cliques(adj[s] & demand_mask, adj)
+    ]
+    rows = anchors + demand
+    m, k, d = len(rows), len(columns), len(demand)
+    # constraint matrix: y per column, a surplus per demand row and an
+    # artificial per row; the tableau adds the right-hand side and a last
+    # row of phase-one reduced costs
+    M = np.hstack((
+        np.array([[c >> v & 1 for c in columns] for v in rows], dtype=float).reshape(m, k),
+        np.vstack((np.zeros((m - d, d)), -np.eye(d))),
+        np.eye(m),
+    ))
+    T = np.zeros((m + 1, k + d + m + 1))
+    T[:m, :-1] = M
+    T[:m, -1] = [float(weights[v]) for v in rows]
+    T[m, :k + d] = -M[:, :k + d].sum(axis=0)
+    T[m, -1] = -T[:m, -1].sum()
+    basis = k + d + np.arange(m)
+    tol = 1e-9 * max(1.0, float(T[:m, -1].max(initial=0.0)))
+    for _ in range(THETA_COVER_MAX_PIVOTS):
+        entering = np.flatnonzero(T[m, :k + d] < -1e-9)
+        if entering.size == 0:
+            break
+        c = entering[0]
+        candidates = np.flatnonzero(T[:m, c] > 1e-9)
+        if candidates.size == 0:  # phase one is bounded; only roundoff gets here
+            return None
+        ratios = T[candidates, -1] / T[candidates, c]
+        ties = candidates[ratios <= ratios.min() + tol]
+        r = ties[np.argmin(basis[ties])]
+        pivot_row = T[r] / T[r, c]
+        T -= np.outer(T[:, c], pivot_row)
+        T[r] = pivot_row
+        basis[r] = c
+    if T[m, -1] < -tol:  # the artificials still carry weight: infeasible or capped
+        return None
+
+    exact = [Fraction(w) for w in weights]
+    q = round(abs(np.linalg.det(M[:, basis]))) * math.lcm(*(w.denominator for w in exact))
+    if not 0 < q <= 2**50:  # past 2**50, y*q is not held to within 1/2
+        return None
+    Y = [0] * k
+    for r, j in enumerate(basis):
+        if j < k:
+            Y[j] = round(T[r, -1] * q)
+    if min(Y, default=0) < 0:
+        return None
+    for i, v in enumerate(rows):
+        covered = sum(y for c, y in zip(columns, Y) if c >> v & 1)
+        if covered < exact[v] * q or (i < len(anchors) and covered != exact[v] * q):
+            return None
+    return q, [(c, y) for c, y in zip(columns, Y) if y > 0]
+
+
+# Why a theta solve stopped, most favourable first: a clique partition or a
+# fractional clique cover weighs alpha_w (theta exact), the gap reached the
+# accuracy, the iteration cap, or roundoff cost the iterates their
+# definiteness.
 THETA_STOPS = ("clique_cover", "gap", "iteration_cap", "lost_definiteness")
 
 
@@ -187,9 +378,11 @@ class ThetaResult:
     ``value`` is the midpoint of the primal/dual sandwich, so it sits within
     ``duality_gap / 2`` of the true optimum.  ``primal_certificate`` is a
     feasible PSD matrix attaining ``primal_value``.  The dual bound is the
-    interior-point dual, or a clique cover whose weight equals alpha_w: then
-    ``stop`` is ``"clique_cover"`` and theta = alpha_w exactly, with gap 0.
-    ``stop`` is one of ``THETA_STOPS``.
+    interior-point dual, or a clique partition or fractional clique cover
+    whose weight equals alpha_w: then ``stop`` is ``"clique_cover"`` and
+    theta = alpha_w exactly, with gap 0, and the certificate is the rank-one
+    indicator of alpha's witness.  ``stop`` is one of
+    ``THETA_STOPS``.
     """
 
     value: float
@@ -236,13 +429,19 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
 
     Theta is additive over connected components, so disconnected graphs are
     solved per component (sharper and better conditioned) and reassembled.
-    A component whose alpha_w equals the weight of ``_clique_cover`` has
-    theta = alpha_w exactly (alpha_w <= theta_w <= any clique cover): it is
-    returned with the rank-one independent-set certificate, gap 0 and no
-    iterations.  That covers every isolated vertex, so an edgeless graph's
-    theta is its exact weight sum, and every complete graph.  Other
-    components run the interior-point method, whose iterations
-    ``THETA_MAX_ITERATIONS`` caps.
+    A component with a clique cover, fractional or not, of weight alpha_w
+    has theta = alpha_w exactly (alpha_w <= theta_w <= any such cover): it
+    is returned with the rank-one independent-set certificate, gap 0 and no
+    iterations.  ``_anchored_clique_partition`` searches for a clique
+    partition, at most ``THETA_PARTITION_MAX_NODES`` nodes per component,
+    with each clique anchored on a vertex of alpha's witness; it finds one
+    whenever one exists, unless the budget runs out first.  That covers
+    every isolated vertex, so an edgeless graph's theta is its exact weight
+    sum, every complete graph and every graph the greedy ``_clique_cover``
+    closes.  Where it fails, ``_fractional_clique_cover`` solves the
+    fractional problem, at most ``THETA_COVER_MAX_PIVOTS`` simplex pivots,
+    and checks its answer exactly.  Other components run the interior-point
+    method, whose iterations ``THETA_MAX_ITERATIONS`` caps.
     """
     n = graph.n
     if n == 0:
@@ -258,7 +457,7 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
     if len(components) > 1:
         result = _theta_from_components(graph, components, accuracy)
     else:
-        result = _lovasz_theta_connected(graph, accuracy)
+        _, result = _lovasz_theta_connected(graph, accuracy)
     if result.duality_gap > accuracy:
         raise ThetaNonConvergenceError(
             f"gap {result.duality_gap:.3e} above accuracy {accuracy:.1e} "
@@ -289,12 +488,15 @@ def _theta_from_components(
     c_k = 0), so it is PSD, and adding c c^T keeps X PSD.  Then
     tr X = sum_k p_k / P = 1 and sw^T X sw = (sum_k (p_k^2 - p_k^2) + P^2) / P
     = P: theta is additive over components because of the cross blocks.
-    When P = 0 every weight is zero and X = I/n.
+    When P = 0 every weight is zero and X = I/n.  When every component
+    closes, theta is alpha_w exactly and the bounds are float(alpha_w), not
+    the float sum of the components' values, which may round an ulp off it.
     """
     index = {vid: k for k, vid in enumerate(graph.vertex_ids())}
     X = np.zeros((graph.n, graph.n))
     c = np.zeros(graph.n)
     primal = dual = 0.0
+    alpha: Weight = 0
     iterations = 0
     stops = []
     for component in components:
@@ -303,7 +505,8 @@ def _theta_from_components(
             vertices=tuple(v for v in graph.vertices if v.id in keep),
             edges=tuple(e for e in graph.edges if e[0] in keep),
         )
-        part = _lovasz_theta_connected(sub, accuracy / len(components))
+        alpha_k, part = _lovasz_theta_connected(sub, accuracy / len(components))
+        alpha += alpha_k
         pos = [index[vid] for vid in sub.vertex_ids()]
         c_k = part.primal_certificate @ np.sqrt([float(v.weight) for v in sub.vertices])
         X[np.ix_(pos, pos)] = part.primal_value * part.primal_certificate - np.outer(c_k, c_k)
@@ -313,6 +516,11 @@ def _theta_from_components(
         iterations += part.iterations
         stops.append(part.stop)
     X = (X + np.outer(c, c)) / primal if primal > 0.0 else np.eye(graph.n) / graph.n
+    stop = max(stops, key=THETA_STOPS.index)
+    if stop == "clique_cover":
+        # every component closed at float(alpha_k), whose float sum may sit
+        # an ulp off float(alpha_w); theta is alpha_w exactly
+        primal = dual = float(alpha)
     return ThetaResult(
         value=0.5 * (primal + dual),
         primal_value=primal,
@@ -320,32 +528,43 @@ def _theta_from_components(
         duality_gap=dual - primal,
         primal_certificate=X,
         iterations=iterations,
-        stop=max(stops, key=THETA_STOPS.index),
+        stop=stop,
     )
 
 
-def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaResult:
+def _lovasz_theta_connected(
+    graph: ExclusivityGraph, accuracy: float
+) -> tuple[Weight, ThetaResult]:
+    """alpha_w, exact, and theta of a connected graph."""
     n = graph.n
     ids = graph.vertex_ids()
     index = {vid: k for k, vid in enumerate(ids)}
     w = np.array([float(v.weight) for v in graph.vertices])
     if n == 1:  # an isolated vertex is a clique: theta = w exactly
         value = float(w[0])
-        return ThetaResult(value, value, value, 0.0, np.ones((1, 1)), 0, "clique_cover")
+        return graph.vertices[0].weight, ThetaResult(
+            value, value, value, 0.0, np.ones((1, 1)), 0, "clique_cover"
+        )
     sw = np.sqrt(w)
 
     # the independent-set indicator is an exact rank-one feasible point with
-    # value alpha_w, a floor for the primal bound; when a clique cover weighs
-    # no more, the sandwich alpha_w <= theta_w <= cover is closed
+    # value alpha_w, a floor for the primal bound; when a clique partition
+    # anchored on it, or a fractional clique cover, weighs no more, the
+    # sandwich alpha_w <= theta_w <= cover is closed
     alpha, alpha_witness = independence_number(graph)
     u = np.where(np.isin(ids, alpha_witness), sw, 0.0)
     norm_sq = float(u @ u)
     best_X = np.outer(u, u) / norm_sq if norm_sq > 0 else np.eye(n) / n
-    if _clique_cover((1 << n) - 1, *_bitmasks(graph)) == alpha:
+    witness = sum(1 << index[vid] for vid in alpha_witness)
+    weights, adj = _bitmasks(graph)
+    if (
+        _anchored_clique_partition(weights, adj, witness, THETA_PARTITION_MAX_NODES) is not None
+        or _fractional_clique_cover(weights, adj, witness) is not None
+    ):
         # every bound is float(alpha), not sw @ best_X @ sw, which may round
         # one ulp above it
         value = float(alpha)
-        return ThetaResult(value, value, value, 0.0, best_X, 0, "clique_cover")
+        return alpha, ThetaResult(value, value, value, 0.0, best_X, 0, "clique_cover")
 
     Jw = np.outer(sw, sw)
     # edges are unique with i < j, so each fancy-indexed entry is hit once
@@ -458,7 +677,7 @@ def _lovasz_theta_connected(graph: ExclusivityGraph, accuracy: float) -> ThetaRe
         X = X + tp * dX
         y = y + td * dy
 
-    return ThetaResult(
+    return alpha, ThetaResult(
         value=0.5 * (primal + dual),
         primal_value=primal,
         dual_value=dual,

@@ -428,13 +428,13 @@ def graph_to_json(graph: ExclusivityGraph) -> dict:
 def graph_from_json(data: Mapping) -> ExclusivityGraph:
     vertices = tuple(
         GraphVertex(
-            id=int(v["id"]),
+            id=_int_from_json(v["id"]),
             event=event_from_json(v["event"]) if v.get("event") is not None else None,
             weight=number_from_json(v.get("weight", 1)),
         )
         for v in data["vertices"]
     )
-    edges = tuple((int(i), int(j)) for i, j in data["edges"])
+    edges = tuple((_int_from_json(i), _int_from_json(j)) for i, j in data["edges"])
     return ExclusivityGraph(vertices=vertices, edges=edges)
 
 

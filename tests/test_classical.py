@@ -176,6 +176,24 @@ class TestBehaviorValidation:
         with pytest.raises(ValueError):
             Behavior(scenario=bell222, probabilities=probs)
 
+    @pytest.mark.parametrize("huge", [Fraction(10**400), Fraction(-(10**400)), 10**400])
+    def test_probability_too_large_for_a_float_rejected(self, bell222, huge):
+        # float(p) overflowed here before the range check could raise
+        probs = {e: 0.25 for e in scenario.enumerate_events(bell222)}
+        probs[next(iter(probs))] = huge
+        with pytest.raises(ValueError, match="negative or not finite"):
+            Behavior(scenario=bell222, probabilities=probs)
+
+    @pytest.mark.parametrize("second", [Fraction(10**308), 10**308])
+    def test_context_sum_too_large_for_a_float_rejected(self, bell222, second):
+        # each term fits a float, but their exact sum, or that sum plus the
+        # context's float terms, overflows
+        probs = {e: 0.25 for e in scenario.enumerate_events(bell222)}
+        first, other = bell222.context_events(bell222.contexts[0])[:2]
+        probs[first], probs[other] = Fraction(10**308), second
+        with pytest.raises(ValueError, match="sums to inf"):
+            Behavior(scenario=bell222, probabilities=probs)
+
     def test_missing_event_rejected(self, bell222):
         events = scenario.enumerate_events(bell222)
         probs = {e: 0.25 for e in events[:-1]}

@@ -241,7 +241,8 @@ class TestThetaInteriorPoint:
 
     def test_connected_graph_with_zero_and_fraction_weights(self):
         # without the weight-0 vertex the pentagon is the path 1-2-3-4,
-        # a perfect graph, so theta equals alpha = w_2 + w_4 = 13/6
+        # a perfect graph, so theta equals alpha = w_2 + w_4 = 13/6; the
+        # cliques {2, 1} and {4, 3} anchored on that witness close it exactly
         weights = (0, Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2))
         g = ExclusivityGraph(
             vertices=tuple(GraphVertex(id=i, weight=w) for i, w in enumerate(weights)),
@@ -250,8 +251,22 @@ class TestThetaInteriorPoint:
         alpha, _ = independence_number(g)
         assert alpha == Fraction(13, 6)
         result = lovasz_theta(g)
-        assert result.iterations > 0
-        assert abs(result.value - 13 / 6) <= 1e-7
+        assert result.stop == "clique_cover" and result.iterations == 0
+        assert result.value == result.dual_value == float(alpha)
+        assert_feasible_certificate(g, result)
+
+    def test_connected_graph_with_zero_and_fraction_weights_runs_the_method(self):
+        # a pentagon of weight 1/2 with a weight-0 pendant: theta is
+        # sqrt(5)/2 > alpha = 1, so no clique partition closes it
+        g = ExclusivityGraph(
+            vertices=tuple(GraphVertex(id=i, weight=Fraction(1, 2)) for i in range(5))
+            + (GraphVertex(id=5, weight=0),),
+            edges=cycle_graph(5).edges + ((0, 5),),
+        )
+        assert independence_number(g)[0] == 1
+        result = lovasz_theta(g)
+        assert result.stop == "gap" and result.iterations > 0
+        assert abs(result.value - SQRT5 / 2) <= 1e-7
         X = result.primal_certificate
         assert np.linalg.eigvalsh(X)[0] >= -1e-9 and abs(np.trace(X) - 1.0) <= 1e-12
 
@@ -323,6 +338,21 @@ def assert_feasible_certificate(graph, result):
         assert X[i, j] == 0.0 and X[j, i] == 0.0
 
 
+def forced_interior_point(graph):
+    """theta with the clique-cover exits turned off: every connected
+    component of two or more vertices runs the interior-point method."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_anchored_clique_partition", lambda *args: None)
+        mp.setattr(graphs, "_fractional_clique_cover", lambda *args: None)
+        return lovasz_theta(graph)
+
+
+def weighted_graph(weights, edges):
+    return ExclusivityGraph(
+        vertices=tuple(GraphVertex(id=i, weight=w) for i, w in enumerate(weights)), edges=edges
+    )
+
+
 def weighted_cycle(n, weight):
     return ExclusivityGraph(
         vertices=tuple(GraphVertex(id=i, weight=weight) for i in range(n)),
@@ -350,7 +380,30 @@ class TestThetaBlockMerge:
 
 
 class TestThetaCliqueCover:
-    """alpha_w = clique cover closes the sandwich: theta is exact, no IPM."""
+    """A clique partition of weight alpha_w closes the sandwich: theta is
+    exact, no IPM."""
+
+    # graphs the greedy lowest-id cover leaves open: the path 2-0-1-3, where
+    # it takes {0, 1}, {2}, {3} against {0, 2}, {1, 3}; a star whose hub 0
+    # must join its heaviest leaf 2, not its lowest 1; and a graph where
+    # placing 3 with anchor 0, the first fit, strands 4
+    GREEDY_OPEN = {
+        "P4": ([1] * 4, ((0, 1), (0, 2), (1, 3)), 2),
+        "star": ((3, Fraction(1, 2), 4, Fraction(4, 3)), ((0, 1), (0, 2), (0, 3)), Fraction(35, 6)),
+        "backtrack": ([1] * 5, ((0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)), 2),
+    }
+
+    @staticmethod
+    def assert_partition_weighs_alpha(graph, cliques, alpha):
+        weights, adj = graphs._bitmasks(graph)
+        covered = 0
+        for clique in cliques:
+            members = [v for v in range(graph.n) if clique >> v & 1]
+            assert all(adj[a] >> b & 1 for a in members for b in members if a != b)
+            assert covered & clique == 0
+            covered |= clique
+        assert all(covered >> v & 1 for v in range(graph.n) if weights[v] > 0)
+        assert sum(max(weights[v] for v in range(graph.n) if c >> v & 1) for c in cliques) == alpha
 
     @staticmethod
     def fraction_weighted_c6():
@@ -386,6 +439,69 @@ class TestThetaCliqueCover:
         root = np.sqrt([float(v.weight) for v in graph.vertices])
         assert abs(root @ result.primal_certificate @ root - float(alpha)) <= 1e-12 * float(alpha)
 
+    @pytest.mark.parametrize("name", sorted(GREEDY_OPEN))
+    def test_anchored_partition_closes_what_the_greedy_cover_leaves_open(self, name):
+        weights, edges, expected = self.GREEDY_OPEN[name]
+        graph = weighted_graph(weights, edges)
+        alpha, witness = independence_number(graph)
+        assert alpha == expected
+        assert graphs._clique_cover((1 << graph.n) - 1, *graphs._bitmasks(graph)) > alpha
+        cliques = graphs._anchored_clique_partition(
+            *graphs._bitmasks(graph), sum(1 << v for v in witness), graphs.THETA_PARTITION_MAX_NODES
+        )
+        self.assert_partition_weighs_alpha(graph, cliques, alpha)
+        result = lovasz_theta(graph)
+        assert result.stop == "clique_cover" and result.iterations == 0
+        assert result.value == result.primal_value == result.dual_value == float(alpha)
+        assert_feasible_certificate(graph, result)
+        forced = forced_interior_point(graph)
+        assert forced.stop == "gap" and abs(forced.value - result.value) <= 1e-7
+
+    def test_zero_budget_runs_the_interior_point_method(self, monkeypatch):
+        weights, edges, _ = self.GREEDY_OPEN["star"]
+        graph = weighted_graph(weights, edges)
+        closed = lovasz_theta(graph)
+        monkeypatch.setattr(graphs, "THETA_PARTITION_MAX_NODES", 0)
+        monkeypatch.setattr(graphs, "THETA_COVER_MAX_PIVOTS", 0)
+        result = lovasz_theta(graph)
+        assert result.stop == "gap" and result.iterations > 0
+        assert abs(result.value - closed.value) <= 1e-7
+
+    def test_budget_counts_every_node(self):
+        # the backtracking case visits 5 nodes: the root, 2 placed, 3 placed
+        # with anchor 0 (where 4 fits nowhere), 3 with anchor 1, and 4 placed
+        weights, edges, _ = self.GREEDY_OPEN["backtrack"]
+        args = (*graphs._bitmasks(weighted_graph(weights, edges)), 0b11)
+        assert graphs._anchored_clique_partition(*args, 4) is None
+        assert graphs._anchored_clique_partition(*args, 5) == [0b10001, 0b01110]
+
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_graphs())
+    def test_anchored_partition_closes_whatever_the_greedy_cover_closes(self, case):
+        graph, _ = case
+        weights, adj = graphs._bitmasks(graph)
+        alpha, witness = independence_number(graph)
+        greedy = graphs._clique_cover((1 << graph.n) - 1, weights, adj) == alpha
+        cliques = graphs._anchored_clique_partition(
+            weights, adj, sum(1 << v for v in witness), graphs.THETA_PARTITION_MAX_NODES
+        )
+        if cliques is not None:
+            self.assert_partition_weighs_alpha(graph, cliques, alpha)
+        if greedy:
+            assert cliques is not None
+            result = lovasz_theta(graph)
+            assert result.stop == "clique_cover" and result.duality_gap == 0.0
+            assert result.value == float(alpha)
+            assert abs(forced_interior_point(graph).value - result.value) <= 1e-7
+
+    def test_closed_components_sum_to_float_alpha(self):
+        # float(1) + float(2/3) is 1.6666666666666665, an ulp below 5/3
+        graph = weighted_graph((1, Fraction(2, 3)), ())
+        result = lovasz_theta(graph)
+        assert result.stop == "clique_cover"
+        assert result.value == result.primal_value == result.dual_value == float(Fraction(5, 3))
+        assert_feasible_certificate(graph, result)
+
     def test_union_with_a_non_closing_component(self):
         # K3 closes with no iterations; C5, solved after it, needs the
         # interior-point method, so the union does not report a closed sandwich
@@ -393,7 +509,7 @@ class TestThetaCliqueCover:
         result = lovasz_theta(graph)
         assert result.stop == "gap"
         # each of the two components is solved to half the accuracy
-        c5 = graphs._lovasz_theta_connected(cycle_graph(5), 0.5e-7)
+        _, c5 = graphs._lovasz_theta_connected(cycle_graph(5), 0.5e-7)
         assert result.iterations == c5.iterations > 0
         assert abs(result.value - (SQRT5 + 1.0)) <= 1e-7
         assert 0.0 < result.duality_gap <= 1e-7
@@ -414,15 +530,131 @@ class TestThetaCliqueCover:
     def test_early_exit_agrees_with_the_interior_point_method(self, case):
         graph, _ = case
         exit_result = lovasz_theta(graph)
-        with pytest.MonkeyPatch.context() as mp:
-            # no cover ever closes the sandwich; alpha's branch and bound
-            # then searches without pruning, which stays exact
-            mp.setattr(graphs, "_clique_cover", lambda *args: math.inf)
-            forced = lovasz_theta(graph)
+        forced = forced_interior_point(graph)
         assert forced.stop in ("gap", "clique_cover")  # isolated vertices stay closed form
         assert abs(forced.value - exit_result.value) <= 1e-7
         if exit_result.stop == "clique_cover":
             assert exit_result.duality_gap == 0.0
+
+
+def witness_mask(graph):
+    return sum(1 << v for v in independence_number(graph)[1])
+
+
+class TestThetaFractionalCover:
+    """A fractional clique cover of weight alpha_w closes the sandwich where
+    no clique partition does."""
+
+    # no clique partition weighs alpha: in the path 0-1-2 the heavy middle
+    # vertex fits whole in neither end's clique; in the weighted pentagons
+    # vertex 0 must cover both 1 and 4, which are not adjacent; the last
+    # graph needs half-integral weights on its triangles {2, 3, 4}, {3, 5, 6}
+    NO_PARTITION = {
+        "P3": ((1, 2, 1), ((0, 1), (1, 2)), 2),
+        "C5": ((2, 1, 1, 1, 1), cycle_graph(5).edges, 3),
+        "C5-fraction": (
+            (Fraction(4, 3), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)),
+            cycle_graph(5).edges, 2,
+        ),
+        "half": (
+            (3, 2, 2, 3, 2, 2, 2),
+            ((0, 1), (0, 4), (0, 5), (1, 2), (1, 6), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6),
+             (4, 5), (5, 6)),
+            7,
+        ),
+    }
+
+    @staticmethod
+    def assert_cover_weighs_alpha(graph, cover, alpha):
+        q, cliques = cover
+        weights, adj = graphs._bitmasks(graph)
+        for clique, y in cliques:
+            members = [v for v in range(graph.n) if clique >> v & 1]
+            assert all(adj[a] >> b & 1 for a in members for b in members if a != b)
+            assert isinstance(y, int) and y > 0
+        for v in range(graph.n):
+            assert sum(y for c, y in cliques if c >> v & 1) >= weights[v] * q
+        assert Fraction(sum(y for _, y in cliques), q) == alpha
+
+    @pytest.mark.parametrize("name", sorted(NO_PARTITION))
+    def test_fractional_cover_closes_what_no_partition_closes(self, name):
+        weights, edges, expected = self.NO_PARTITION[name]
+        graph = weighted_graph(weights, edges)
+        alpha, _ = independence_number(graph)
+        assert alpha == expected
+        args = (*graphs._bitmasks(graph), witness_mask(graph))
+        assert graphs._anchored_clique_partition(*args, graphs.THETA_PARTITION_MAX_NODES) is None
+        self.assert_cover_weighs_alpha(graph, graphs._fractional_clique_cover(*args), alpha)
+        result = lovasz_theta(graph)
+        assert result.stop == "clique_cover" and result.iterations == 0
+        assert result.value == result.primal_value == result.dual_value == float(alpha)
+        assert_feasible_certificate(graph, result)
+        forced = forced_interior_point(graph)
+        assert forced.stop == "gap" and abs(forced.value - result.value) <= 1e-7
+
+    def test_half_integral_cover(self):
+        weights, edges, _ = self.NO_PARTITION["half"]
+        graph = weighted_graph(weights, edges)
+        q, cliques = graphs._fractional_clique_cover(*graphs._bitmasks(graph), witness_mask(graph))
+        assert q == 2 and any(y % 2 for _, y in cliques)
+
+    def test_zero_pivots_runs_the_interior_point_method(self, monkeypatch):
+        weights, edges, expected = self.NO_PARTITION["C5"]
+        graph = weighted_graph(weights, edges)
+        monkeypatch.setattr(graphs, "THETA_COVER_MAX_PIVOTS", 0)
+        assert graphs._fractional_clique_cover(*graphs._bitmasks(graph), witness_mask(graph)) is None
+        result = lovasz_theta(graph)
+        assert result.stop == "gap" and result.iterations > 0
+        assert abs(result.value - expected) <= 1e-7
+
+    def test_float_weights_that_round_run_the_interior_point_method(self):
+        # 2.1 is a binary fraction whose denominator is past what the
+        # rounding to a common denominator can hold; 2.0 is exact
+        for heavy, stop in ((2.0, "clique_cover"), (2.1, "gap")):
+            graph = weighted_graph((heavy, 1.0, 1.0, 1.0, 1.0), cycle_graph(5).edges)
+            result = lovasz_theta(graph)
+            assert result.stop == stop
+            assert abs(result.value - (heavy + 1.0)) <= 1e-7
+
+    @pytest.mark.parametrize("name", ["C5", "C7", "co-C7", "paley13", "chsh"])
+    def test_theta_above_alpha_stays_open(self, name, chsh_graph):
+        graph = {
+            "C5": cycle_graph(5), "C7": cycle_graph(7), "co-C7": complement(cycle_graph(7)),
+            "paley13": paley13(), "chsh": chsh_graph,
+        }[name]
+        assert graphs._fractional_clique_cover(*graphs._bitmasks(graph), witness_mask(graph)) is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_graphs())
+    def test_fractional_cover_closes_whatever_the_partition_closes(self, case):
+        graph, _ = case
+        alpha, _ = independence_number(graph)
+        args = (*graphs._bitmasks(graph), witness_mask(graph))
+        cover = graphs._fractional_clique_cover(*args)
+        if graphs._anchored_clique_partition(*args, graphs.THETA_PARTITION_MAX_NODES) is not None:
+            assert cover is not None
+        if cover is not None:
+            self.assert_cover_weighs_alpha(graph, cover, alpha)
+            assert lovasz_theta(graph).stop == "clique_cover"
+            assert abs(forced_interior_point(graph).value - float(alpha)) <= 1e-7
+
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_graphs())
+    def test_maximal_cliques_match_brute_force(self, case):
+        graph, _ = case
+        _, adj = graphs._bitmasks(graph)
+        n = graph.n
+        mask = (1 << n) - 1
+
+        def is_clique(c):
+            members = [v for v in range(n) if c >> v & 1]
+            return all(adj[a] >> b & 1 for a in members for b in members if a != b)
+
+        cliques = [c for c in range(1, mask + 1) if is_clique(c)]
+        maximal = {c for c in cliques if not any(c != d and c & d == c for d in cliques)}
+        found = graphs._maximal_cliques(mask, adj)
+        assert len(found) == len(set(found)) and set(found) == maximal
+        assert graphs._maximal_cliques(0, adj) == [0]
 
 
 class TestComplement:

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from exclusivity import scenario
 from exclusivity.scenario import (
     Event,
+    ExclusivityGraph,
+    GraphVertex,
     Measurement,
     Scenario,
     UnknownVertexError,
@@ -344,6 +346,17 @@ def load_with_integer(field: str, value):
     return scenario_from_json(data)
 
 
+def load_graph_with(field: str, value):
+    """Load the edge 0-1 with ``value`` as vertex 0's id or as the edge's far end."""
+    edge = ExclusivityGraph(vertices=(GraphVertex(id=0), GraphVertex(id=1)), edges=((0, 1),))
+    data = graph_to_json(edge)
+    if field == "id":
+        data["vertices"][0]["id"] = value
+    else:
+        data["edges"][0][1] = value
+    return graph_from_json(data)
+
+
 class TestJsonRejects:
     @pytest.mark.parametrize("kind", sorted(BAD_NUMBERS))
     @given(data=st.data())
@@ -357,3 +370,17 @@ class TestJsonRejects:
         field = data.draw(st.sampled_from(["outcome", "parties", "party", "num_outcomes"]))
         with pytest.raises(ValueError, match="expected an integer"):
             load_with_integer(field, data.draw(BAD_INTEGERS[kind]))
+
+    @pytest.mark.parametrize("kind", sorted(BAD_INTEGERS))
+    @given(data=st.data())
+    def test_graph_ids_and_edge_ends(self, kind, data):
+        field = data.draw(st.sampled_from(["id", "edge"]))
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_graph_with(field, data.draw(BAD_INTEGERS[kind]))
+
+    @pytest.mark.parametrize("field", ["id", "edge"])
+    @pytest.mark.parametrize("value", [0.9, True, 1e400])
+    def test_graph_ids_are_not_truncated(self, field, value):
+        # int() took 0.9 as 0 and True as 1, and overflowed on 1e400
+        with pytest.raises(ValueError, match="expected an integer"):
+            load_graph_with(field, value)
