@@ -14,13 +14,20 @@ whose dual is  min t  s.t.  S = t*I + sum_edges lam_ij E_ij - J_w  PSD.  From
 exactly feasible starts, Mehrotra predictor-corrector steps along the HKM
 direction (Helmberg, Rendl, Vanderbei and Wolkowicz, SIOPT 1996) give a
 certified sandwich at every iterate: t once S passes Cholesky, and X with its
-edge entries zeroed, shifted to PSD and scaled to trace 1.  Before any of
-that, alpha_w <= theta_w <= the weight of any fractional clique cover
-(Lovasz 1979): when a budgeted search finds a clique partition of weight
-alpha_w, each clique anchored on one vertex of alpha's witness, or a small
-simplex finds a fractional cover of that weight, checked in exact
-arithmetic, theta is alpha_w exactly, certified by the independent set's
-indicator, and no interior-point iteration runs.
+edge entries zeroed, shifted to PSD and scaled to trace 1.  Each step goes a
+fraction gamma of the way to the PSD boundary, gamma = max(0.95, 0.9 +
+0.09 min(tp, td)) from the previous corrector's step lengths tp and td
+(SDPT3's rule; Toh, Todd and Tutuncu, Optim. Methods Softw. 1999), so the
+steps lengthen as the iterates settle.  Before any of that, alpha_w <=
+theta_w <= the weight of any fractional clique cover (Lovasz 1979): when a
+budgeted search finds a clique partition of weight alpha_w, each clique
+anchored on one vertex of alpha's witness, or a small simplex finds a
+fractional cover of that weight, checked in exact arithmetic, theta is
+alpha_w exactly, certified by the independent set's indicator, and no
+interior-point iteration runs.  The simplex is skipped where an exact screen
+proves no cover weighs alpha_w: x_v = 1/omega+(v), one over the largest
+positive-weight clique through v, lies in QSTAB(G), so sum_v w_v x_v >
+alpha_w rules every cover out.
 
 Orthonormal representations of the complement (unit vector per vertex,
 adjacent vertices orthogonal) give constructive lower bounds on theta via
@@ -172,8 +179,9 @@ def independence_number(graph: ExclusivityGraph) -> tuple[Weight, tuple[int, ...
 # Lovasz theta
 
 # Cap on the interior-point iterations of one connected solve.  The benchmark's
-# graph family reaches a 1e-7 gap in about 8 (at most 17), so the cap is only
-# reached when the iterates stall.
+# graph family reaches a 1e-7 gap in about 6 (at most 11), and random graphs of
+# up to 16 vertices in at most 15, so the cap is only reached when the
+# iterates stall.
 THETA_MAX_ITERATIONS = 60
 
 # Cap on the nodes of the anchored clique-partition search of one connected
@@ -273,6 +281,45 @@ def _maximal_cliques(mask: int, adj: list[int]) -> list[int]:
     return cliques
 
 
+def _cover_screen(weights: list[Weight], cliques: list[int], witness: int) -> bool:
+    """True when no fractional clique cover weighs alpha_w = w(S).
+
+    ``cliques`` are the maximal cliques of G+, the subgraph induced by the
+    positive-weight vertices, and ``witness`` is the bitmask of S.  Let
+    omega+(v) be the size of the largest of them through v, and x_v =
+    1/omega+(v) for w_v > 0, x_v = 0 otherwise.  Then x lies in QSTAB(G): for
+    any clique C of G, C+ = C minus its zero-weight vertices is a clique of
+    G+ through each of its vertices, so x(C) = sum_{v in C+} 1/omega+(v) <=
+    sum_{v in C+} 1/|C+| <= 1.  Any fractional clique cover y therefore weighs
+
+        sum_C y_C >= sum_C y_C x(C) = sum_v x_v sum_{C ni v} y_C >= sum_v w_v x_v,
+
+    so sum_v w_v / omega+(v) > w(S) proves that none weighs w(S).  The
+    comparison is exact, in integers: the weights are scaled by the lcm D of
+    their denominators (a float weight is the binary fraction it holds) and
+    both sides by the lcm L of the clique sizes.  Each vertex is counted
+    under the first clique through it, the cliques largest first.  With
+    unit weights the screen fires on the odd cycles, their complements and
+    the Paley graph on 13 vertices, where n / omega exceeds alpha.
+    """
+    ratios = [w.as_integer_ratio() for w in weights]
+    D = math.lcm(*(d for _, d in ratios))
+    scaled = [p * (D // d) for p, d in ratios]
+    by_size: dict[int, int] = {}
+    rest = -1
+    for c in sorted(cliques, key=int.bit_count, reverse=True):
+        new, rest = c & rest, rest & ~c
+        if new:  # cliques is [0] when G+ is empty
+            total = 0
+            while new:
+                total += scaled[(new & -new).bit_length() - 1]
+                new &= new - 1
+            by_size[c.bit_count()] = by_size.get(c.bit_count(), 0) + total
+    alpha = sum(scaled[v] for v in range(len(weights)) if witness >> v & 1)
+    L = math.lcm(*by_size)
+    return sum(total * (L // size) for size, total in by_size.items()) > alpha * L
+
+
 def _fractional_clique_cover(
     weights: list[Weight], adj: list[int], witness: int
 ) -> Optional[tuple[int, list[tuple[int, int]]]]:
@@ -287,12 +334,16 @@ def _fractional_clique_cover(
     Schrijver 1986).  A clique partition is the integral case, so this
     closes whatever ``_anchored_clique_partition`` closes.
 
-    As there, sum_C y_C >= sum_C y_C |C & S| >= alpha_w, with equality only
-    if every clique of positive y_C holds one vertex s of S and the cliques
-    through s weigh w_s in all.  So the columns are the maximal cliques
-    through each positive-weight s in S, maximal in s's neighbourhood among
-    the positive-weight vertices (a larger clique only covers more), and
-    the check is the feasibility problem
+    One pass of ``_maximal_cliques`` over G+, the subgraph induced by the
+    positive-weight vertices, serves two ends.  First ``_cover_screen``
+    reads from it a point of QSTAB(G) that may prove no cover weighs
+    alpha_w; then the simplex is skipped.  Otherwise, as in the partition
+    search, sum_C y_C >= sum_C y_C |C & S| >= alpha_w, with equality only if
+    every clique of positive y_C holds one vertex s of S and the cliques
+    through s weigh w_s in all.  So the columns are the maximal cliques of
+    G+ through a vertex of S (a larger clique only covers more; S is
+    independent, so each holds one), and the check is the feasibility
+    problem
 
         sum_{C ni s} y_C = w_s (s in S),  sum_{C ni v} y_C >= w_v (v not in S),
 
@@ -304,14 +355,12 @@ def _fractional_clique_cover(
     exact arithmetic: roundoff (or a float weight, whose denominator makes q
     too large to round to) can cost a closure, never exactness.
     """
+    cliques = _maximal_cliques(sum(1 << v for v, w in enumerate(weights) if w > 0), adj)
+    if _cover_screen(weights, cliques, witness):
+        return None
     anchors = [s for s, w in enumerate(weights) if witness >> s & 1 and w > 0]
     demand = [v for v, w in enumerate(weights) if not witness >> v & 1 and w > 0]
-    demand_mask = sum(1 << v for v in demand)
-    columns = [
-        1 << s | clique
-        for s in anchors
-        for clique in _maximal_cliques(adj[s] & demand_mask, adj)
-    ]
+    columns = [c for c in cliques if c & witness]
     rows = anchors + demand
     m, k, d = len(rows), len(columns), len(demand)
     # constraint matrix: y per column, a surplus per demand row and an
@@ -440,7 +489,8 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
     sum, every complete graph and every graph the greedy ``_clique_cover``
     closes.  Where it fails, ``_fractional_clique_cover`` solves the
     fractional problem, at most ``THETA_COVER_MAX_PIVOTS`` simplex pivots,
-    and checks its answer exactly.  Other components run the interior-point
+    and checks its answer exactly, unless ``_cover_screen`` proves first
+    that no cover weighs alpha_w.  Other components run the interior-point
     method, whose iterations ``THETA_MAX_ITERATIONS`` caps.
     """
     n = graph.n
@@ -532,6 +582,50 @@ def _theta_from_components(
     )
 
 
+class _EdgeOperators:
+    """The linear maps of the theta SDP on an n-vertex graph with edges
+    (I, J), I < J: A_0 = I and A_e = E_ij + E_ji for e = (i, j).
+
+    Entries are read and written at flat row-major positions (i*n + j),
+    computed once per solve; they are the same float operations, in the same
+    order, as 2-D fancy indexing, without its index grids on every call.
+    """
+
+    def __init__(self, n: int, I: np.ndarray, J: np.ndarray):
+        self.n = n
+        self.diag = np.arange(n) * (n + 1)
+        self.ij, self.ji = I * n + J, J * n + I
+        # the Schur block's gathers, row e = (i, j) by column f = (k, l)
+        self.ik, self.il = I[:, None] * n + I, I[:, None] * n + J
+        self.jk, self.jl = J[:, None] * n + I, J[:, None] * n + J
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """sum_k y_k A_k."""
+        D = np.zeros(self.n * self.n)
+        D[self.diag] = y[0]
+        D[self.ij] = D[self.ji] = y[1:]
+        return D.reshape(self.n, self.n)
+
+    def constraints(self, Y: np.ndarray) -> np.ndarray:
+        """<A_k, Y> for every k: the trace, then Y_ij + Y_ji per edge."""
+        flat = Y.reshape(-1)
+        return np.concatenate(([np.trace(Y)], flat[self.ij] + flat[self.ji]))
+
+    def schur(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """The HKM Schur complement M_kl = tr(A_k X A_l Z); for edges e =
+        (i, j) and f = (k, l) it is X_jk Z_il + X_jl Z_ik + X_ik Z_jl + X_il Z_jk."""
+        x, z = X.reshape(-1), Z.reshape(-1)
+        xz = (X @ Z).reshape(-1)
+        M = np.empty((1 + len(self.ij), 1 + len(self.ij)))
+        M[0, 0] = np.sum(X * Z)
+        M[0, 1:] = M[1:, 0] = xz[self.ij] + xz[self.ji]
+        M[1:, 1:] = (
+            x[self.jk] * z[self.il] + x[self.jl] * z[self.ik]
+            + x[self.ik] * z[self.jl] + x[self.il] * z[self.jk]
+        )
+        return M
+
+
 def _lovasz_theta_connected(
     graph: ExclusivityGraph, accuracy: float
 ) -> tuple[Weight, ThetaResult]:
@@ -567,24 +661,11 @@ def _lovasz_theta_connected(
         return alpha, ThetaResult(value, value, value, 0.0, best_X, 0, "clique_cover")
 
     Jw = np.outer(sw, sw)
-    # edges are unique with i < j, so each fancy-indexed entry is hit once
+    # edges are unique with i < j, so each scattered entry is hit once
     I, J = np.array([(index[i], index[j]) for i, j in graph.edges]).T
-    m = len(I)
-    II, IJ, JI, JJ = np.ix_(I, I), np.ix_(I, J), np.ix_(J, I), np.ix_(J, J)
-    diag = np.diag_indices(n)
+    ops = _EdgeOperators(n, I, J)
     scale = max(1.0, float(np.sum(w)))
-    b = np.eye(1, 1 + m)[0]  # <A_k, X> = b_k: tr X = 1, X_ij + X_ji = 0
-
-    def adjoint(y: np.ndarray) -> np.ndarray:
-        """sum_k y_k A_k with A_0 = I and A_e = E_ij + E_ji."""
-        D = np.zeros((n, n))
-        D[diag] = y[0]
-        D[I, J] = D[J, I] = y[1:]
-        return D
-
-    def constraints(Y: np.ndarray) -> np.ndarray:
-        """<A_k, Y> for every k: the trace, then Y_ij + Y_ji per edge."""
-        return np.concatenate(([np.trace(Y)], Y[I, J] + Y[J, I]))
+    b = np.eye(1, 1 + len(I))[0]  # <A_k, X> = b_k: tr X = 1, X_ij + X_ji = 0
 
     def checked_dual(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """y with y_0 raised until S(y) = adjoint(y) - Jw passes Cholesky,
@@ -592,7 +673,7 @@ def _lovasz_theta_connected(
         raised = y.copy()
         for k in range(64):  # the last raise exceeds sum(w) >= -lambda_min(S(y))
             try:
-                return raised, np.linalg.cholesky(adjoint(raised) - Jw)
+                return raised, np.linalg.cholesky(ops.adjoint(raised) - Jw)
             except np.linalg.LinAlgError:
                 raised[0] = y[0] + 1e-15 * scale * 2.0**k
         raise np.linalg.LinAlgError("no dual shift passed Cholesky")
@@ -600,10 +681,11 @@ def _lovasz_theta_connected(
     def certified_primal(X: np.ndarray) -> tuple[float, np.ndarray]:
         """X with its edge entries zeroed, shifted to PSD, trace 1."""
         X = X.copy()
-        X[I, J] = X[J, I] = 0.0
+        flat = X.reshape(-1)
+        flat[ops.ij] = flat[ops.ji] = 0.0
         lam_min = float(np.linalg.eigvalsh(X)[0])
         if lam_min < 0.0:
-            X[diag] -= lam_min
+            flat[ops.diag] -= lam_min
         X /= np.trace(X)
         return float(sw @ X @ sw), X
 
@@ -616,15 +698,16 @@ def _lovasz_theta_connected(
             return np.linalg.cholesky(M + np.diag(1e-14 * M.diagonal()))
 
     def step_length(L_inv: np.ndarray, D: np.ndarray) -> float:
-        """0.95 of the largest t keeping L L^T + t D positive definite, at
+        """gamma of the largest t keeping L L^T + t D positive definite, at
         most 1: the boundary is t = -1 / lambda_min(L^-1 D L^-T)."""
         lam_min = float(np.linalg.eigvalsh(L_inv @ D @ L_inv.T)[0])
-        return 1.0 if lam_min >= -0.95 else -0.95 / lam_min
+        return 1.0 if lam_min >= -gamma else -gamma / lam_min
 
     # exactly feasible starts: X = I/n, and S(y) = (sum(w) + 1) I - Jw > 0
     X = np.eye(n) / n
-    y = np.zeros(1 + m)
+    y = np.zeros(1 + len(I))
     y[0] = float(np.linalg.eigvalsh(Jw)[-1]) + 1.0
+    gamma = 0.95
 
     primal = float(sw @ best_X @ sw)
     dual = math.inf
@@ -641,16 +724,10 @@ def _lovasz_theta_connected(
             break
         LS_inv = np.linalg.inv(LS)
         Z = LS_inv.T @ LS_inv
-        S = adjoint(y) - Jw
+        S = ops.adjoint(y) - Jw
         mu = float(np.sum(X * S)) / n
-        # HKM Schur complement M_kl = tr(A_k X A_l Z), with edge block
-        # X_jk Z_li + X_jl Z_ki + X_ik Z_lj + X_il Z_kj for e = (i, j),
-        # f = (k, l); one Cholesky factor serves both solves below
-        XZ = X @ Z
-        M = np.empty((1 + m, 1 + m))
-        M[0, 0] = np.sum(X * Z)
-        M[0, 1:] = M[1:, 0] = XZ[I, J] + XZ[J, I]
-        M[1:, 1:] = X[JI] * Z[IJ] + X[JJ] * Z[II] + X[II] * Z[JJ] + X[IJ] * Z[JI]
+        # one Cholesky factor of the Schur complement serves both solves below
+        M = ops.schur(X, Z)
         try:
             LX, LM = np.linalg.cholesky(X), lifted_cholesky(M)
         except np.linalg.LinAlgError:
@@ -661,8 +738,8 @@ def _lovasz_theta_connected(
         def direction(RZ: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
             """dX = (R - X dS) Z, symmetrized, solves dX S + X dS = R; the
             rows A(dX) = b - A(X) also undo the primal drift of roundoff."""
-            dy = LM_inv.T @ (LM_inv @ (constraints(RZ + X) - b))
-            dS = adjoint(dy)
+            dy = LM_inv.T @ (LM_inv @ (ops.constraints(RZ + X) - b))
+            dS = ops.adjoint(dy)
             dX = RZ - X @ dS @ Z
             dX = 0.5 * (dX + dX.T)
             return dy, dS, dX, step_length(LX_inv, dX), step_length(LS_inv, dS)
@@ -676,6 +753,8 @@ def _lovasz_theta_connected(
         dy, _, dX, tp, td = direction(sigma * mu * Z - X - G)
         X = X + tp * dX
         y = y + td * dy
+        # SDPT3's rule: the steps go closer to the boundary as they lengthen
+        gamma = max(0.95, 0.9 + 0.09 * min(tp, td))
 
     return alpha, ThetaResult(
         value=0.5 * (primal + dual),

@@ -270,6 +270,49 @@ class TestThetaInteriorPoint:
         X = result.primal_certificate
         assert np.linalg.eigvalsh(X)[0] >= -1e-9 and abs(np.trace(X) - 1.0) <= 1e-12
 
+    # two graphs of the random stress family (scripts/theta_stress.py, graphs
+    # 2585 and 5966) with integer weights, theta about 204 and 110, whose
+    # iterates lost definiteness short of the 1e-7 gap at fixed 0.95 steps
+    LARGE_WEIGHTS = {
+        "n15": (
+            (18, 46, 40, 36, 42, 40, 25, 13, 50, 44, 47, 33, 48, 41, 39),
+            ((0, 1), (0, 2), (0, 3), (0, 5), (0, 6), (0, 8), (0, 9), (0, 10), (0, 11), (0, 12),
+             (0, 13), (1, 2), (1, 3), (1, 5), (1, 6), (1, 7), (1, 8), (1, 11), (2, 3), (2, 5),
+             (2, 11), (2, 14), (3, 5), (3, 8), (3, 10), (3, 11), (3, 12), (3, 13), (3, 14),
+             (4, 8), (4, 9), (4, 11), (4, 14), (5, 6), (5, 8), (5, 10), (5, 12), (5, 14), (6, 9),
+             (6, 10), (6, 14), (7, 8), (7, 13), (8, 11), (9, 12), (9, 14), (10, 13)),
+        ),
+        "n13": (
+            (22, 24, 47, 23, 25, 29, 14, 33, 25, 5, 41, 41, 13),
+            ((0, 2), (0, 3), (0, 7), (0, 8), (0, 9), (0, 10), (0, 11), (0, 12), (1, 4), (1, 5),
+             (1, 6), (1, 8), (1, 9), (1, 10), (1, 11), (2, 3), (2, 6), (2, 8), (2, 9), (2, 10),
+             (2, 11), (2, 12), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (3, 9), (3, 12), (4, 5),
+             (4, 6), (4, 8), (4, 9), (4, 12), (5, 6), (5, 7), (5, 8), (5, 9), (5, 10), (5, 11),
+             (6, 10), (6, 11), (6, 12), (7, 11), (8, 9), (8, 11), (8, 12), (9, 10), (9, 11),
+             (9, 12), (10, 12)),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LARGE_WEIGHTS))
+    def test_large_weights_reach_the_gap(self, name):
+        graph = weighted_graph(*self.LARGE_WEIGHTS[name])
+        result = lovasz_theta(graph)
+        assert result.stop == "gap" and 0.0 <= result.duality_gap <= 1e-7
+        assert float(independence_number(graph)[0]) < result.primal_value
+        assert_feasible_certificate(graph, result)
+
+    @pytest.mark.parametrize("name", ["C5", "chsh", "C7", "C9", "C11", "paley13"])
+    @pytest.mark.parametrize("complemented", [False, True])
+    def test_unit_weight_graphs_reach_the_gap_in_six_iterations(
+        self, name, complemented, chsh_graph
+    ):
+        graph = {
+            "C5": cycle_graph(5), "chsh": chsh_graph, "C7": cycle_graph(7),
+            "C9": cycle_graph(9), "C11": cycle_graph(11), "paley13": paley13(),
+        }[name]
+        result = lovasz_theta(complement(graph) if complemented else graph)
+        assert result.duality_gap <= 1e-7 and result.iterations <= 6
+
     @pytest.mark.parametrize("name", ["C5", "C7", "paley13", "chsh", "co-C7"])
     def test_sandwich_brackets_the_closed_form(self, name, chsh_graph):
         graph, closed_form = {
@@ -358,6 +401,51 @@ def weighted_cycle(n, weight):
         vertices=tuple(GraphVertex(id=i, weight=weight) for i in range(n)),
         edges=cycle_graph(n).edges,
     )
+
+
+class TestThetaOperators:
+    """The flat-index maps of the interior-point method against their
+    definitions from dense A_0 = I and A_e = E_ij + E_ji."""
+
+    @staticmethod
+    def random_case(rng):
+        n = int(rng.integers(2, 17))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        keep = rng.random(len(pairs)) < rng.uniform(0.05, 0.95)
+        keep[rng.integers(len(pairs))] = True
+        I, J = np.array([p for p, k in zip(pairs, keep) if k]).T
+        A = [np.eye(n)]
+        for i, j in zip(I, J):
+            E = np.zeros((n, n))
+            E[i, j] = E[j, i] = 1.0
+            A.append(E)
+        return n, I, J, A
+
+    @staticmethod
+    def random_psd(rng, n):
+        B = rng.standard_normal((n, n))
+        return B @ B.T + 1e-3 * np.eye(n)
+
+    def test_schur_complement_matches_the_trace_formula(self):
+        rng = np.random.default_rng(20261020)
+        for _ in range(40):
+            n, I, J, A = self.random_case(rng)
+            X, Z = self.random_psd(rng, n), self.random_psd(rng, n)
+            expected = np.array([[np.trace(Ak @ X @ Al @ Z) for Al in A] for Ak in A])
+            M = graphs._EdgeOperators(n, I, J).schur(X, Z)
+            assert np.max(np.abs(M - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_adjoint_and_constraints_match_the_sums(self):
+        rng = np.random.default_rng(20261021)
+        for _ in range(40):
+            n, I, J, A = self.random_case(rng)
+            ops = graphs._EdgeOperators(n, I, J)
+            y = rng.standard_normal(len(A))
+            assert np.array_equal(ops.adjoint(y), sum(yk * Ak for yk, Ak in zip(y, A)))
+            Y = rng.standard_normal((n, n))
+            expected = np.array([np.sum(Ak * Y) for Ak in A])
+            error = np.max(np.abs(ops.constraints(Y) - expected))
+            assert error <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestThetaBlockMerge:
@@ -541,6 +629,24 @@ def witness_mask(graph):
     return sum(1 << v for v in independence_number(graph)[1])
 
 
+def cover_screen(graph):
+    """Whether ``_cover_screen`` proves that no fractional clique cover
+    weighs alpha_w, from the maximal cliques of the positive-weight part."""
+    weights, adj = graphs._bitmasks(graph)
+    positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
+    cliques = graphs._maximal_cliques(positive, adj)
+    return graphs._cover_screen(weights, cliques, witness_mask(graph))
+
+
+@st.composite
+def integer_weighted_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    weights = draw(st.lists(st.integers(0, 50), min_size=n, max_size=n))
+    return weighted_graph(weights, tuple(e for e, keep in zip(pairs, present) if keep)), False
+
+
 class TestThetaFractionalCover:
     """A fractional clique cover of weight alpha_w closes the sandwich where
     no clique partition does."""
@@ -637,6 +743,33 @@ class TestThetaFractionalCover:
             self.assert_cover_weighs_alpha(graph, cover, alpha)
             assert lovasz_theta(graph).stop == "clique_cover"
             assert abs(forced_interior_point(graph).value - float(alpha)) <= 1e-7
+
+    @pytest.mark.parametrize("name", ["C5", "C7", "co-C7", "paley13"])
+    def test_screen_fires_where_theta_exceeds_the_cover_bound(self, name):
+        graph = {
+            "C5": cycle_graph(5), "C7": cycle_graph(7), "co-C7": complement(cycle_graph(7)),
+            "paley13": paley13(),
+        }[name]
+        assert cover_screen(graph)
+
+    @pytest.mark.parametrize("name", ["C5", "half"])
+    def test_screen_holds_back_where_a_cover_closes(self, name):
+        weights, edges, expected = self.NO_PARTITION[name]
+        graph = weighted_graph(weights, edges)
+        assert not cover_screen(graph)
+        result = lovasz_theta(graph)
+        assert result.stop == "clique_cover" and result.value == float(expected)
+        assert forced_interior_point(graph).iterations > 0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.one_of(weighted_graphs(), integer_weighted_graphs()))
+    def test_screen_fires_only_where_no_cover_exists(self, case):
+        graph, _ = case
+        if cover_screen(graph):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graphs, "_cover_screen", lambda *args: False)
+                args = (*graphs._bitmasks(graph), witness_mask(graph))
+                assert graphs._fractional_clique_cover(*args) is None
 
     @settings(max_examples=80, deadline=None)
     @given(weighted_graphs())
