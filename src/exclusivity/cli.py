@@ -162,11 +162,12 @@ def _optimizer_config(args, default: optimize.OptimizerConfig) -> optimize.Optim
 
 
 def _kcbs_qutrit(config: optimize.OptimizerConfig, args) -> optimize.OptimizationResult:
-    if args.dimension < 1:
-        raise InputError(f"--dimension must be positive, got {args.dimension}")
-    return optimize.maximize_kcbs_qutrit(
-        constrained=args.constrained, config=config, dimension=args.dimension
-    )
+    try:
+        return optimize.maximize_kcbs_qutrit(
+            constrained=args.constrained, config=config, dimension=args.dimension
+        )
+    except ValueError as err:
+        raise InputError(str(err))
 
 
 # keyed like optimize.DEFAULT_CONFIGS; values look up their function as above

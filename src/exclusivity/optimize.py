@@ -59,6 +59,11 @@ is u^T conj(psi) v, with u and v from ``quantum``'s table of outcome kets:
 a trigonometric polynomial in these parameters.  The pentagon task's
 vectors come from spherical coordinates, so its inner products and
 saturation sums are trigonometric polynomials too.
+
+Each forward model is a few array operations on index arrays built once
+per task: the two-qubit events gather their amplitudes and derivatives from
+one table of both parties' kets against the state and its derivatives, and
+the pentagon vectors and their Jacobians are prefix products of one table.
 """
 
 from __future__ import annotations
@@ -103,6 +108,12 @@ PENALTY_SCHEDULE = (1e2, 1e5, 1e8)
 FEASIBILITY_TOL = 1e-8
 
 
+def _check_int(name: str, value, low: int) -> None:
+    """Raise ValueError unless ``value`` is an int (not a bool) >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Number of seeded restarts and the seed they draw their starts from;
@@ -112,10 +123,8 @@ class OptimizerConfig:
     seed: int = 20240
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_int("restarts", self.restarts, 1)
+        _check_int("seed", self.seed, 0)
 
 
 # The config each task runs when none is given (the CLI's too): the
@@ -358,38 +367,36 @@ def _state_and_derivatives(x: np.ndarray) -> np.ndarray:
     ).reshape(5, 4)
 
 
-# Layer pairs (Alice, Bob) of ``_setting_kets`` multiplied in
-# ``_bell_amplitudes``: (kets, kets) against psi and its derivatives gives the
-# amplitude and its state derivatives; the other four pairs, against psi,
-# give the derivatives by theta_a1, phi_a1, theta_b1 and phi_b1.
-_ALICE_LAYERS = np.array([0, 1, 2, 0, 0])[:, None]
-_BOB_LAYERS = np.array([0, 0, 0, 1, 2])[:, None]
+def _bell_table_index(events: Sequence[Event]) -> np.ndarray:
+    """Flat positions, shape (n_events, 9), in ``_bell_amplitudes``' (5, 12,
+    12) table of each event's amplitude [0, a, b], its state derivatives
+    [1-4, a, b] and its derivatives by Alice's theta and phi [0, 4 + a, b],
+    [0, 8 + a, b] and Bob's [0, a, 4 + b], [0, a, 8 + b], with a and b the
+    event's rows of ``_setting_kets`` (``_bell_ket_indices``)."""
+    return (_bell_ket_indices(events) @ [12, 1])[:, None] + [0, 144, 288, 432, 576, 48, 96, 4, 8]
 
 
-def _bell_amplitudes(x: np.ndarray, kets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Event amplitudes u^T conj(psi) v and their (n_events, 8) Jacobian.
+def _bell_amplitudes(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Amplitudes u^T conj(psi) v (column 0; P(ab|xy) = |amplitude|^2) and
+    their derivatives by the 8 parameters (columns 1-8) of the events of
+    ``index`` (from ``_bell_table_index``), gathered from one table
+    U conj(Psi_k) V^T: U and V stack a party's kets and their theta and phi
+    derivatives (``_setting_kets``, 12 x 2), and Psi_k is the state or one
+    of its 4 derivatives as a 2 x 2 matrix."""
+    alice = _setting_kets(x[4], x[5]).reshape(12, 2)
+    bob = _setting_kets(x[6], x[7]).reshape(12, 2)
+    return ((alice @ _state_and_derivatives(x).reshape(5, 2, 2).conj()) @ bob.T).take(index)
 
-    ``kets`` comes from ``_bell_ket_indices``; P(ab|xy) = |amplitude|^2.
-    """
-    u = _setting_kets(x[4], x[5])[_ALICE_LAYERS, kets[:, 0]]
-    v = _setting_kets(x[6], x[7])[_BOB_LAYERS, kets[:, 1]]
-    products = (u[..., :, None] * v[..., None, :]).reshape(5, -1, 4)
-    table = products @ _state_and_derivatives(x).T.conj()
-    return table[0, :, 0], np.concatenate([table[0, :, 1:], table[1:, :, 0].T], axis=1)
 
-
-def _bell_evaluate(x: np.ndarray, kets: np.ndarray, n_positive: int) -> Evaluation:
+def _bell_evaluate(x: np.ndarray, index: np.ndarray, n_positive: int) -> Evaluation:
     """Sum of the first ``n_positive`` event probabilities, with the other
     events' probabilities as residuals, plus gradient and Jacobian."""
-    amplitudes, jacobian = _bell_amplitudes(x, kets)
-    probs = (amplitudes.conj() * amplitudes).real
-    dprobs = 2.0 * (amplitudes.conj()[:, None] * jacobian).real
-    return (
-        float(probs[:n_positive].sum()),
-        dprobs[:n_positive].sum(axis=0),
-        probs[n_positive:],
-        dprobs[n_positive:],
-    )
+    table = _bell_amplitudes(x, index)
+    # column 0: 2 P(event); columns 1-8: its derivatives
+    terms = 2.0 * (table[:, :1].conj() * table).real
+    positive = terms[:n_positive].sum(axis=0)
+    rest = terms[n_positive:]
+    return 0.5 * float(positive[0]), positive[1:], 0.5 * rest[:, 0], rest[:, 1:]
 
 
 def _bell_model_from_raw(x: np.ndarray) -> BellLocalModel:
@@ -424,19 +431,17 @@ def _maximize_bell_paradox(
     config: OptimizerConfig,
     classify_optimum: bool,
 ) -> OptimizationResult:
-    kets = _bell_ket_indices(list(positive_events) + list(zero_events))
+    index = _bell_table_index(list(positive_events) + list(zero_events))
     n_pos = len(positive_events)
     zero_labels = [str(e) for e in zero_events]
 
     def evaluate(x: np.ndarray) -> Evaluation:
-        return _bell_evaluate(x, kets, n_pos)
+        return _bell_evaluate(x, index, n_pos)
 
     def zero_amplitudes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        amplitudes, jacobian = _bell_amplitudes(x, kets[n_pos:])
-        return (
-            np.concatenate([amplitudes.real, amplitudes.imag]),
-            np.concatenate([jacobian.real, jacobian.imag]),
-        )
+        table = _bell_amplitudes(x, index[n_pos:])
+        parts = np.concatenate([table.real, table.imag])
+        return parts[:, 0], parts[:, 1:]
 
     def describe(x: np.ndarray):
         model = _bell_model_from_raw(x)
@@ -526,66 +531,59 @@ def classify_local_model(
 # Pentagon (KCBS) task
 
 
-def _spherical(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors in R^(m+1) from rows of m hyperspherical angles, and
-    their Jacobians ``jac[k, j, i] = d v_kj / d angle_ki``.
+def _spherical_index(m: int) -> np.ndarray:
+    """Positions, shape (2, 5, m + 1, m + 1), of ``_spherical``'s factor and
+    last-factor tables in the rows (sin t, cos t, -sin t, 1, 0) of five
+    vectors' m angles t.  Factor row 0 is (1, sin t_0, ..., sin t_(m-1)), and
+    row i + 1 swaps in cos t_i, so its prefix products are dS_j/dt_i for
+    j > i.  Last-factor rows are (cos t_0, ..., cos t_(m-1), 1), but row
+    i + 1 holds -sin t_i at j = i and 0 below, where v_j is free of t_i."""
+    row, column = np.arange(m + 1)[:, None], np.arange(m + 1)
+    factors = np.where(column == 0, 3 * m, column - 1 + m * (row == column))
+    last = np.select([column < row - 1, column == row - 1, column == m],
+                     [3 * m + 1, 2 * m + column, 3 * m], m + column)
+    return np.stack([factors, last])[:, None] + np.arange(5)[:, None, None] * (3 * m + 2)
 
+
+_ONE_ZERO = np.tile([1.0, 0.0], (5, 1))
+
+
+def _spherical(angles: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Unit vectors v_k in R^(m+1) from five rows of m hyperspherical angles,
+    as ``table[k, 0]``, with ``table[k, i + 1, j] = d v_kj / d angle_ki``.
     v_j = S_j cos(t_j) for j < m and v_m = S_m, with S_j the product of
-    sin(t_i) over i < j.
-    """
-    sines, cosines = np.sin(angles), np.cos(angles)
-    rows, m = angles.shape
-    ones = np.ones((rows, 1))
-    last_factor = np.hstack([cosines, ones])
-
-    def prefix_products(factors: np.ndarray) -> np.ndarray:
-        return np.hstack([ones, np.cumprod(factors, axis=1)])
-
-    sin_prefix = prefix_products(sines)
-    jac = np.zeros((rows, m + 1, m))
-    for i in range(m):
-        swapped = sines.copy()
-        swapped[:, i] = cosines[:, i]
-        jac[:, i + 1 :, i] = (prefix_products(swapped) * last_factor)[:, i + 1 :]
-        jac[:, i, i] = -sin_prefix[:, i] * sines[:, i]
-    return sin_prefix * last_factor, jac
+    sin(t_i) over i < j: prefix products of the factor table times the
+    last-factor table, both gathered by ``index`` (``_spherical_index(m)``)."""
+    sines = np.sin(angles)
+    factors, last = np.concatenate([sines, np.cos(angles), -sines, _ONE_ZERO], axis=1).take(index)
+    return np.cumprod(factors, axis=2) * last
 
 
 PENTAGON_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
 PENTAGON_SATURATION_PAIRS = ((0, 1), (2, 3))
-_EDGES = np.array(PENTAGON_EDGES)
-_SATURATION_PAIRS = np.array(PENTAGON_SATURATION_PAIRS)
+# Jacobian row e of edge (a, b) holds d<v_a, v_b>/d angles_a on vector a and
+# d<v_a, v_b>/d angles_b on b; saturation row 5 + s holds dp_a and dp_b.
+_EDGE_OWN, _EDGE_OTHER = np.array(PENTAGON_EDGES + tuple(e[::-1] for e in PENTAGON_EDGES)).T
+_SATURATED = np.array(PENTAGON_SATURATION_PAIRS).ravel()
 
 
-def _pair_rows(pairs: np.ndarray, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Jacobian rows of pentagon pair residuals: row r puts first[r] on the
-    angles of vector pairs[r, 0] and second[r] on those of vector pairs[r, 1]."""
-    rows = np.zeros((len(pairs), 5, first.shape[1]))
-    index = np.arange(len(pairs))
-    rows[index, pairs[:, 0]] = first
-    rows[index, pairs[:, 1]] = second
-    return rows.reshape(len(pairs), -1)
-
-
-def _pentagon_evaluate(x: np.ndarray, constrained: bool) -> Evaluation:
+def _pentagon_evaluate(x: np.ndarray, index: np.ndarray, constrained: bool) -> Evaluation:
     """Vertex sum, edge inner products and (if constrained) saturation sums
     minus 1 of five unit vectors, one row of ``x.reshape(5, -1)`` angles each,
-    with their gradient and Jacobian."""
-    v, jac = _spherical(x.reshape(5, -1))
-    p = v[:, 0] ** 2
-    dp = 2.0 * v[:, :1] * jac[:, 0, :]
-    i, j = _EDGES.T
-    residuals = np.einsum("ek,ek->e", v[i], v[j])
-    rows = _pair_rows(
-        _EDGES,
-        np.einsum("ek,eka->ea", v[j], jac[i]),
-        np.einsum("ek,eka->ea", v[i], jac[j]),
-    )
+    with their gradient and Jacobian.  ``index`` comes from
+    ``_spherical_index``."""
+    table = _spherical(x.reshape(5, -1), index)
+    # products[k, 0, b] = <v_k, v_b>; products[k, i + 1, b] its derivative by angle i of v_k
+    products = table @ table[:, 0].T
+    p = table[:, 0, 0] ** 2
+    dp = 2.0 * table[:, :1, 0] * table[:, 1:, 0]
+    residuals = products[_EDGE_OWN[:5], 0, _EDGE_OTHER[:5]]
+    rows = np.zeros((7 if constrained else 5, 5, dp.shape[1]))
+    rows[np.arange(10) % 5, _EDGE_OWN] = products[_EDGE_OWN, 1:, _EDGE_OTHER]
     if constrained:
-        i, j = _SATURATION_PAIRS.T
-        residuals = np.concatenate([residuals, p[i] + p[j] - 1.0])
-        rows = np.concatenate([rows, _pair_rows(_SATURATION_PAIRS, dp[i], dp[j])])
-    return float(p.sum()), dp.ravel(), residuals, rows
+        residuals = np.concatenate([residuals, p[_SATURATED[::2]] + p[_SATURATED[1::2]] - 1.0])
+        rows[[5, 5, 6, 6], _SATURATED] = dp[_SATURATED]
+    return float(p.sum()), dp.ravel(), residuals, rows.reshape(len(rows), -1)
 
 
 def maximize_kcbs_qutrit(
@@ -602,10 +600,9 @@ def maximize_kcbs_qutrit(
     it to 2 + 1/9.  Dimensions too small for the orthogonality pattern
     come back with ``feasible=False``.
     """
+    _check_int("dimension", dimension, 1)
     config = config or DEFAULT_CONFIGS["kcbs-qutrit"]
     task = "kcbs-qutrit-constrained" if constrained else "kcbs-qutrit"
-    if dimension < 1:
-        raise ValueError("dimension must be positive")
 
     labels = [f"edge{e}" for e in PENTAGON_EDGES]
     if constrained:
@@ -626,12 +623,13 @@ def maximize_kcbs_qutrit(
         )
 
     per_vector = dimension - 1
+    index = _spherical_index(per_vector)
 
     def evaluate(x: np.ndarray) -> Evaluation:
-        return _pentagon_evaluate(x, constrained)
+        return _pentagon_evaluate(x, index, constrained)
 
     def describe(x: np.ndarray):
-        v, _ = _spherical(x.reshape(5, per_vector))
+        v = _spherical(x.reshape(5, per_vector), index)[:, 0]
         residuals = evaluate(x)[2]
         return (
             {

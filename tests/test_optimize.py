@@ -15,16 +15,19 @@ from exclusivity.optimize import (
     OptimizerConfig,
     _bell_amplitudes,
     _bell_evaluate,
+    _bell_table_index,
     _maximize_bell_paradox,
     _pentagon_evaluate,
     _sample_bell_start,
+    _spherical,
+    _spherical_index,
     _state_and_derivatives,
     classify_local_model,
     maximize_chsh_paradox_local,
     maximize_hardy_local,
     maximize_kcbs_qutrit,
 )
-from exclusivity.quantum import BellLocalModel, _bell_ket_indices, bell_event_probabilities
+from exclusivity.quantum import BellLocalModel, bell_event_probabilities
 from exclusivity.scenario import bell_222, bell_event, enumerate_events
 from oracles import bell_probabilities
 
@@ -219,6 +222,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             OptimizerConfig(seed=-1)
 
+    @pytest.mark.parametrize("name", ["restarts", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "3", None, np.int64(3)])
+    def test_settings_must_be_ints(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            OptimizerConfig(**{name: value})
+
+    @pytest.mark.parametrize("dimension", [2.5, 3.0, True, 0, -1])
+    def test_kcbs_dimension_must_be_a_positive_int(self, dimension):
+        with pytest.raises(ValueError, match="dimension"):
+            maximize_kcbs_qutrit(False, OptimizerConfig(restarts=1, seed=1), dimension=dimension)
+
+    @pytest.mark.parametrize(
+        "maximize",
+        [
+            maximize_hardy_local,
+            maximize_chsh_paradox_local,
+            lambda config: maximize_kcbs_qutrit(False, config),
+            lambda config: maximize_kcbs_qutrit(True, config),
+        ],
+        ids=["hardy", "chsh", "kcbs-free", "kcbs-constrained"],
+    )
+    def test_restart_i_draws_from_seed_and_i(self, maximize):
+        # the determinism contract: restart i does not depend on how many
+        # restarts run after it
+        three = maximize(OptimizerConfig(restarts=3, seed=17)).to_json()["restarts"]
+        five = maximize(OptimizerConfig(restarts=5, seed=17)).to_json()["restarts"]
+        assert three == five[:3]
+
     def test_only_restarts_and_seed_are_settable(self):
         assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["restarts", "seed"]
         assert optimize.PENALTY_SCHEDULE == (1e2, 1e5, 1e8)
@@ -379,43 +410,72 @@ class TestClosedFormJacobians:
     EVENTS = enumerate_events(bell_222())
 
     def test_two_qubit_probabilities_match_forward_model(self):
-        kets = _bell_ket_indices(self.EVENTS)
+        index = _bell_table_index(self.EVENTS)
         rng = np.random.default_rng(20240)
         for _ in range(20):
             x = _sample_bell_start(rng)
-            amplitudes, _ = _bell_amplitudes(x, kets)
+            amplitudes = _bell_amplitudes(x, index)[:, 0]
             psi = tuple(complex(z) for z in _state_and_derivatives(x)[0])
             expected = bell_probabilities(psi, x[4], x[5], x[6], x[7], self.EVENTS)
             assert np.max(np.abs(np.abs(amplitudes) ** 2 - expected)) <= 1e-15
 
     def test_two_qubit_amplitude_jacobian(self):
-        kets = _bell_ket_indices(self.EVENTS)
+        index = _bell_table_index(self.EVENTS)
         rng = np.random.default_rng(1)
         for _ in range(10):
             x = _sample_bell_start(rng)
-            _, jacobian = _bell_amplitudes(x, kets)
-            assert_matches_central_differences(jacobian, lambda y: _bell_amplitudes(y, kets)[0], x)
+            jacobian = _bell_amplitudes(x, index)[:, 1:]
+            assert_matches_central_differences(
+                jacobian, lambda y: _bell_amplitudes(y, index)[:, 0], x
+            )
 
     def test_two_qubit_value_and_residual_derivatives(self):
-        kets = _bell_ket_indices(self.EVENTS)
+        index = _bell_table_index(self.EVENTS)
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = _sample_bell_start(rng)
-            _, gradient, _, jacobian = _bell_evaluate(x, kets, 2)
-            assert_matches_central_differences(gradient, lambda y: _bell_evaluate(y, kets, 2)[0], x)
-            assert_matches_central_differences(jacobian, lambda y: _bell_evaluate(y, kets, 2)[2], x)
+            _, gradient, _, jacobian = _bell_evaluate(x, index, 2)
+            assert_matches_central_differences(
+                gradient, lambda y: _bell_evaluate(y, index, 2)[0], x
+            )
+            assert_matches_central_differences(
+                jacobian, lambda y: _bell_evaluate(y, index, 2)[2], x
+            )
 
-    @pytest.mark.parametrize("dimension", [2, 3, 4])
+    def test_event_rows_do_not_depend_on_the_other_events(self):
+        # the polish evaluates only the zero events, index[n_pos:]
+        index = _bell_table_index(self.EVENTS)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            x = _sample_bell_start(rng)
+            full = _bell_amplitudes(x, index)
+            order = rng.permutation(len(self.EVENTS))
+            for rows in (order, order[:5], np.arange(2, 16)):
+                assert np.array_equal(_bell_amplitudes(x, index[rows]), full[rows])
+                events = [self.EVENTS[r] for r in rows]
+                assert np.array_equal(_bell_amplitudes(x, _bell_table_index(events)), full[rows])
+
+    @pytest.mark.parametrize("dimension", [2, 3, 4, 6])
     @pytest.mark.parametrize("constrained", [False, True])
     def test_pentagon_derivatives(self, dimension, constrained):
+        index = _spherical_index(dimension - 1)
         rng = np.random.default_rng(dimension)
         for _ in range(5):
             x = rng.uniform(0.0, 2 * math.pi, 5 * (dimension - 1))
-            _, gradient, residuals, jacobian = _pentagon_evaluate(x, constrained)
+            _, gradient, residuals, jacobian = _pentagon_evaluate(x, index, constrained)
             assert residuals.shape == (7 if constrained else 5,)
+            assert jacobian.shape == (len(residuals), len(x))
             assert_matches_central_differences(
-                gradient, lambda y: _pentagon_evaluate(y, constrained)[0], x
+                gradient, lambda y: _pentagon_evaluate(y, index, constrained)[0], x
             )
             assert_matches_central_differences(
-                jacobian, lambda y: _pentagon_evaluate(y, constrained)[2], x
+                jacobian, lambda y: _pentagon_evaluate(y, index, constrained)[2], x
             )
+
+    def test_qutrit_vectors_match_the_spherical_formula(self):
+        angles = np.random.default_rng(4).uniform(0.0, 2 * math.pi, (5, 2))
+        vectors = _spherical(angles, _spherical_index(2))[:, 0]
+        for (t0, t1), v in zip(angles, vectors):
+            expected = [math.cos(t0), math.sin(t0) * math.cos(t1), math.sin(t0) * math.sin(t1)]
+            assert v.tolist() == pytest.approx(expected, abs=1e-15)
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-15)
