@@ -4,8 +4,10 @@
 Graph k of the family has n = 2-16 vertices and edge density 0.05-0.95;
 its weights are all 1 when k % 3 == 0, each 0, 1 or a fraction k/d
 (k <= 21, d <= 7) when k % 3 == 1, and integers 0-50 when k % 3 == 2.
-Every graph must reach the default 1e-7 gap, and every graph that closes
-exactly (stop "clique_cover") must report the value float(alpha).
+Every graph must reach the default 1e-7 gap, every graph that closes
+exactly (stop "clique_cover") must report the value float(alpha), and no
+fewer graphs of each kind may close exactly than ``CLOSED_FLOOR`` says:
+a closure lost, by a change to the clique-cover checks, fails the run.
 
 Prints one summary line per weight kind and a total, and exits 1 on any
 failure.  Run as  PYTHONPATH=src python3 scripts/theta_stress.py
@@ -21,6 +23,8 @@ from exclusivity.scenario import ExclusivityGraph, GraphVertex
 SEED = 20261020
 COUNT = 6000
 KINDS = ("unit", "fraction", "integer")
+# exact closures per weight kind, 5840 of 6000 in all
+CLOSED_FLOOR = {"unit": 1893, "fraction": 1993, "integer": 1954}
 
 
 def stress_family():
@@ -67,6 +71,10 @@ def main() -> int:
     for kind in KINDS:
         print(f"{kind}: {closed[kind]} of {COUNT // 3} closed exactly, "
               f"{iterations[kind]} interior-point iterations")
+        if closed[kind] < CLOSED_FLOOR[kind]:
+            failures.append(
+                f"{kind}: {closed[kind]} closed exactly, fewer than {CLOSED_FLOOR[kind]}"
+            )
     print(f"total: {sum(closed.values())} of {COUNT} closed exactly, "
           f"{sum(iterations.values())} interior-point iterations, {len(failures)} failures")
     for line in failures:

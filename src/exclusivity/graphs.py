@@ -19,15 +19,13 @@ fraction gamma of the way to the PSD boundary, gamma = max(0.95, 0.9 +
 0.09 min(tp, td)) from the previous corrector's step lengths tp and td
 (SDPT3's rule; Toh, Todd and Tutuncu, Optim. Methods Softw. 1999), so the
 steps lengthen as the iterates settle.  Before any of that, alpha_w <=
-theta_w <= the weight of any fractional clique cover (Lovasz 1979): when a
+theta_w <= alpha*_w, the fractional packing number, which by LP duality is
+the least weight of a fractional clique cover (Lovasz 1979): when a
 budgeted search finds a clique partition of weight alpha_w, each clique
-anchored on one vertex of alpha's witness, or a small simplex finds a
-fractional cover of that weight, checked in exact arithmetic, theta is
-alpha_w exactly, certified by the independent set's indicator, and no
-interior-point iteration runs.  The simplex is skipped where an exact screen
-proves no cover weighs alpha_w: x_v = 1/omega+(v), one over the largest
-positive-weight clique through v, lies in QSTAB(G), so sum_v w_v x_v >
-alpha_w rules every cover out.
+anchored on one vertex of alpha's witness, or else the simplex for alpha*
+ends at alpha_w with an optimal dual that checks in exact arithmetic as a
+cover of that weight, theta is alpha_w exactly, certified by the
+independent set's indicator, and no interior-point iteration runs.
 
 Orthonormal representations of the complement (unit vector per vertex,
 adjacent vertices orthogonal) give constructive lower bounds on theta via
@@ -281,45 +279,6 @@ def _maximal_cliques(mask: int, adj: list[int]) -> list[int]:
     return cliques
 
 
-def _cover_screen(weights: list[Weight], cliques: list[int], witness: int) -> bool:
-    """True when no fractional clique cover weighs alpha_w = w(S).
-
-    ``cliques`` are the maximal cliques of G+, the subgraph induced by the
-    positive-weight vertices, and ``witness`` is the bitmask of S.  Let
-    omega+(v) be the size of the largest of them through v, and x_v =
-    1/omega+(v) for w_v > 0, x_v = 0 otherwise.  Then x lies in QSTAB(G): for
-    any clique C of G, C+ = C minus its zero-weight vertices is a clique of
-    G+ through each of its vertices, so x(C) = sum_{v in C+} 1/omega+(v) <=
-    sum_{v in C+} 1/|C+| <= 1.  Any fractional clique cover y therefore weighs
-
-        sum_C y_C >= sum_C y_C x(C) = sum_v x_v sum_{C ni v} y_C >= sum_v w_v x_v,
-
-    so sum_v w_v / omega+(v) > w(S) proves that none weighs w(S).  The
-    comparison is exact, in integers: the weights are scaled by the lcm D of
-    their denominators (a float weight is the binary fraction it holds) and
-    both sides by the lcm L of the clique sizes.  Each vertex is counted
-    under the first clique through it, the cliques largest first.  With
-    unit weights the screen fires on the odd cycles, their complements and
-    the Paley graph on 13 vertices, where n / omega exceeds alpha.
-    """
-    ratios = [w.as_integer_ratio() for w in weights]
-    D = math.lcm(*(d for _, d in ratios))
-    scaled = [p * (D // d) for p, d in ratios]
-    by_size: dict[int, int] = {}
-    rest = -1
-    for c in sorted(cliques, key=int.bit_count, reverse=True):
-        new, rest = c & rest, rest & ~c
-        if new:  # cliques is [0] when G+ is empty
-            total = 0
-            while new:
-                total += scaled[(new & -new).bit_length() - 1]
-                new &= new - 1
-            by_size[c.bit_count()] = by_size.get(c.bit_count(), 0) + total
-    alpha = sum(scaled[v] for v in range(len(weights)) if witness >> v & 1)
-    L = math.lcm(*by_size)
-    return sum(total * (L // size) for size, total in by_size.items()) > alpha * L
-
-
 def _fractional_clique_cover(
     weights: list[Weight], adj: list[int], witness: int
 ) -> Optional[tuple[int, list[tuple[int, int]]]]:
@@ -334,83 +293,67 @@ def _fractional_clique_cover(
     Schrijver 1986).  A clique partition is the integral case, so this
     closes whatever ``_anchored_clique_partition`` closes.
 
-    One pass of ``_maximal_cliques`` over G+, the subgraph induced by the
-    positive-weight vertices, serves two ends.  First ``_cover_screen``
-    reads from it a point of QSTAB(G) that may prove no cover weighs
-    alpha_w; then the simplex is skipped.  Otherwise, as in the partition
-    search, sum_C y_C >= sum_C y_C |C & S| >= alpha_w, with equality only if
-    every clique of positive y_C holds one vertex s of S and the cliques
-    through s weigh w_s in all.  So the columns are the maximal cliques of
-    G+ through a vertex of S (a larger clique only covers more; S is
-    independent, so each holds one), and the check is the feasibility
-    problem
-
-        sum_{C ni s} y_C = w_s (s in S),  sum_{C ni v} y_C >= w_v (v not in S),
-
-    solved by phase one of a dense float simplex with Bland's rule, stopped
-    after ``THETA_COVER_MAX_PIVOTS`` pivots (then None unless the basis is
-    already feasible).  A feasible basis B
-    has y with common denominator q = |det B| * lcm(weight denominators), so
-    y*q is rounded to integers Y and every constraint is checked again in
-    exact arithmetic: roundoff (or a float weight, whose denominator makes q
-    too large to round to) can cost a closure, never exactness.
+    The LP is alpha*_w = max w.x s.t. x(C) <= 1 over the maximal cliques C
+    of G+, the subgraph induced by the positive-weight vertices (a
+    zero-weight vertex gains nothing from x_v > 0), and a cover of weight
+    alpha_w exists iff alpha*_w = alpha_w.  A dense float simplex starts
+    from the slack basis, where x = 0 is feasible, so there is no phase one.
+    It enters the most negative reduced cost and leaves by the minimum
+    ratio, the lowest basis index on ties.  Every iterate is feasible, so
+    once w.x passes alpha_w (by a relative 1e-9) alpha* does too and no
+    cover weighs alpha_w: then, or after ``THETA_COVER_MAX_PIVOTS`` pivots,
+    it returns None.  At the optimum the objective row holds the dual y on
+    the slack columns; y has common denominator q = |det B| * lcm(weight
+    denominators) for the final basis B, so y*q is rounded to integers Y
+    and the cover is checked in exact arithmetic.  That check alone proves
+    theta_w = alpha_w, so the primal needs none: roundoff (or a float
+    weight, whose denominator makes q too large to round to) can cost a
+    closure, never exactness.
     """
-    cliques = _maximal_cliques(sum(1 << v for v, w in enumerate(weights) if w > 0), adj)
-    if _cover_screen(weights, cliques, witness):
-        return None
-    anchors = [s for s, w in enumerate(weights) if witness >> s & 1 and w > 0]
-    demand = [v for v, w in enumerate(weights) if not witness >> v & 1 and w > 0]
-    columns = [c for c in cliques if c & witness]
-    rows = anchors + demand
-    m, k, d = len(rows), len(columns), len(demand)
-    # constraint matrix: y per column, a surplus per demand row and an
-    # artificial per row; the tableau adds the right-hand side and a last
-    # row of phase-one reduced costs
-    M = np.hstack((
-        np.array([[c >> v & 1 for c in columns] for v in rows], dtype=float).reshape(m, k),
-        np.vstack((np.zeros((m - d, d)), -np.eye(d))),
-        np.eye(m),
-    ))
-    T = np.zeros((m + 1, k + d + m + 1))
-    T[:m, :-1] = M
-    T[:m, -1] = [float(weights[v]) for v in rows]
-    T[m, :k + d] = -M[:, :k + d].sum(axis=0)
-    T[m, -1] = -T[:m, -1].sum()
-    basis = k + d + np.arange(m)
-    tol = 1e-9 * max(1.0, float(T[:m, -1].max(initial=0.0)))
+    alpha = sum(Fraction(w) for s, w in enumerate(weights) if witness >> s & 1)
+    positive = [v for v, w in enumerate(weights) if w > 0]
+    cliques = _maximal_cliques(sum(1 << v for v in positive), adj)
+    m, k = len(cliques), len(positive)
+    # tableau [A | I | 1]: x per positive vertex, a slack per clique and the
+    # right-hand side, over a last row of reduced costs and the objective w.x
+    T = np.zeros((m + 1, k + m + 1))
+    T[:m, :k] = np.array(cliques)[:, None] >> np.array(positive, int) & 1
+    T[:m, k:-1] = np.eye(m)
+    T[:m, -1] = 1.0
+    T[m, :k] = [-float(weights[v]) for v in positive]
+    M = T[:m, :-1].copy()
+    basis = list(range(k, k + m))
+    limit = float(alpha) + 1e-9 * max(1.0, float(alpha))
     for _ in range(THETA_COVER_MAX_PIVOTS):
-        entering = np.flatnonzero(T[m, :k + d] < -1e-9)
-        if entering.size == 0:
+        c = np.argmin(T[m, :-1])
+        if T[m, c] >= -1e-9:
             break
-        c = entering[0]
-        candidates = np.flatnonzero(T[:m, c] > 1e-9)
-        if candidates.size == 0:  # phase one is bounded; only roundoff gets here
+        col, rhs = T[:m, c].tolist(), T[:m, -1].tolist()
+        rows = [i for i in range(m) if col[i] > 1e-9]
+        if not rows:  # the LP is bounded; only roundoff gets here
             return None
-        ratios = T[candidates, -1] / T[candidates, c]
-        ties = candidates[ratios <= ratios.min() + tol]
-        r = ties[np.argmin(basis[ties])]
+        least = min(rhs[i] / col[i] for i in rows)
+        r = min((i for i in rows if rhs[i] / col[i] <= least + 1e-9), key=basis.__getitem__)
         pivot_row = T[r] / T[r, c]
-        T -= np.outer(T[:, c], pivot_row)
+        T -= T[:, c, None] * pivot_row
         T[r] = pivot_row
         basis[r] = c
-    if T[m, -1] < -tol:  # the artificials still carry weight: infeasible or capped
+        if T[m, -1] > limit:  # alpha* > alpha_w: no cover weighs alpha_w
+            return None
+    else:
         return None
 
     exact = [Fraction(w) for w in weights]
     q = round(abs(np.linalg.det(M[:, basis]))) * math.lcm(*(w.denominator for w in exact))
     if not 0 < q <= 2**50:  # past 2**50, y*q is not held to within 1/2
         return None
-    Y = [0] * k
-    for r, j in enumerate(basis):
-        if j < k:
-            Y[j] = round(T[r, -1] * q)
-    if min(Y, default=0) < 0:
+    Y = [round(y * q) for y in T[m, k:-1].tolist()]
+    if min(Y) < 0 or sum(Y) != alpha * q:
         return None
-    for i, v in enumerate(rows):
-        covered = sum(y for c, y in zip(columns, Y) if c >> v & 1)
-        if covered < exact[v] * q or (i < len(anchors) and covered != exact[v] * q):
+    for v in positive:
+        if sum(y for c, y in zip(cliques, Y) if c >> v & 1) < exact[v] * q:
             return None
-    return q, [(c, y) for c, y in zip(columns, Y) if y > 0]
+    return q, [(c, y) for c, y in zip(cliques, Y) if y > 0]
 
 
 # Why a theta solve stopped, most favourable first: a clique partition or a
@@ -487,11 +430,11 @@ def lovasz_theta(graph: ExclusivityGraph, accuracy: float = 1e-7) -> ThetaResult
     whenever one exists, unless the budget runs out first.  That covers
     every isolated vertex, so an edgeless graph's theta is its exact weight
     sum, every complete graph and every graph the greedy ``_clique_cover``
-    closes.  Where it fails, ``_fractional_clique_cover`` solves the
-    fractional problem, at most ``THETA_COVER_MAX_PIVOTS`` simplex pivots,
-    and checks its answer exactly, unless ``_cover_screen`` proves first
-    that no cover weighs alpha_w.  Other components run the interior-point
-    method, whose iterations ``THETA_MAX_ITERATIONS`` caps.
+    closes.  Where it fails, ``_fractional_clique_cover`` solves the LP
+    for alpha*_w, at most ``THETA_COVER_MAX_PIVOTS`` simplex pivots, stops
+    as soon as its objective passes alpha_w, and checks the optimal dual
+    exactly as a cover of weight alpha_w.  Other components run the
+    interior-point method, whose iterations ``THETA_MAX_ITERATIONS`` caps.
     """
     n = graph.n
     if n == 0:

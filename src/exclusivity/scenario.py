@@ -125,6 +125,12 @@ class Scenario:
         ids = [m.id for m in self.measurements]
         if len(set(ids)) != len(ids):
             raise ValueError("measurement ids must be unique")
+        for m in self.measurements:
+            if m.party >= self.parties:
+                raise ValueError(
+                    f"measurement {m.id!r} has party {m.party}, but the scenario has "
+                    f"{self.parties} parties"
+                )
         by_id = {m.id: m for m in self.measurements}
         if not self.contexts:
             raise ValueError("scenario needs at least one context")
@@ -135,10 +141,15 @@ class Scenario:
             for mid in ctx:
                 if mid not in by_id:
                     raise ValueError(f"context references unknown measurement {mid!r}")
+            if len(set(ctx)) != len(ctx):
+                raise ValueError(f"context {list(ctx)} repeats a measurement")
             parties_in_ctx = [by_id[mid].party for mid in ctx]
             if len(set(parties_in_ctx)) != len(parties_in_ctx) and self.parties > 1:
                 raise ValueError("a context may hold at most one measurement per party")
-            norm.append(tuple(sorted(ctx)))
+            key = tuple(sorted(ctx))
+            if key in norm:
+                raise ValueError(f"context {list(key)} is listed twice")
+            norm.append(key)
         object.__setattr__(self, "contexts", tuple(norm))
         object.__setattr__(self, "_by_id", by_id)
 

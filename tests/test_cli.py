@@ -82,6 +82,20 @@ class TestGraphCommand:
         path.write_text(json.dumps({"parties": 2, "measurements": [{"id": "A0"}], "contexts": []}))
         assert main(["graph", "--scenario-file", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "contexts, message",
+        [([["A0", "A0"]], "repeats a measurement"), ([["A0"], ["A0"]], "listed twice")],
+    )
+    def test_repeated_measurement_or_context_is_an_input_error(
+        self, tmp_path, capsys, contexts, message
+    ):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(
+            {"parties": 1, "measurements": [{"id": "A0", "party": 0}], "contexts": contexts}
+        ))
+        assert main(["graph", "--scenario-file", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_oversize_scenario_is_an_input_error(self, tmp_path, capsys):
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(scenario.scenario_to_json(scenario.bell_scenario((3, 3)))))

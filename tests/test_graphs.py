@@ -629,15 +629,6 @@ def witness_mask(graph):
     return sum(1 << v for v in independence_number(graph)[1])
 
 
-def cover_screen(graph):
-    """Whether ``_cover_screen`` proves that no fractional clique cover
-    weighs alpha_w, from the maximal cliques of the positive-weight part."""
-    weights, adj = graphs._bitmasks(graph)
-    positive = sum(1 << v for v, w in enumerate(weights) if w > 0)
-    cliques = graphs._maximal_cliques(positive, adj)
-    return graphs._cover_screen(weights, cliques, witness_mask(graph))
-
-
 @st.composite
 def integer_weighted_graphs(draw):
     n = draw(st.integers(1, 10))
@@ -653,8 +644,9 @@ class TestThetaFractionalCover:
 
     # no clique partition weighs alpha: in the path 0-1-2 the heavy middle
     # vertex fits whole in neither end's clique; in the weighted pentagons
-    # vertex 0 must cover both 1 and 4, which are not adjacent; the last
-    # graph needs half-integral weights on its triangles {2, 3, 4}, {3, 5, 6}
+    # vertex 0 must cover both 1 and 4, which are not adjacent; the cover of
+    # "half" overlaps on vertex 3 ({0, 1} x 3, {2, 3, 4} x 2, {3, 5, 6} x 2);
+    # "det2" ends the simplex on a basis of determinant 2
     NO_PARTITION = {
         "P3": ((1, 2, 1), ((0, 1), (1, 2)), 2),
         "C5": ((2, 1, 1, 1, 1), cycle_graph(5).edges, 3),
@@ -668,6 +660,7 @@ class TestThetaFractionalCover:
              (4, 5), (5, 6)),
             7,
         ),
+        "det2": ((6, 3, 5, 3, 4, 3), ((0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (2, 3)), 12),
     }
 
     @staticmethod
@@ -698,11 +691,16 @@ class TestThetaFractionalCover:
         forced = forced_interior_point(graph)
         assert forced.stop == "gap" and abs(forced.value - result.value) <= 1e-7
 
-    def test_half_integral_cover(self):
-        weights, edges, _ = self.NO_PARTITION["half"]
+    @pytest.mark.parametrize("name, q", [("C5-fraction", 3), ("half", 1), ("det2", 2)])
+    def test_cover_denominator_is_the_basis_determinant_times_the_weights(self, name, q):
+        # q = |det B| * lcm(weight denominators): the thirds of "C5-fraction"
+        # give y = 2/3 on three cliques; "det2" has integer weights and an
+        # integer y, on a final basis of determinant 2
+        weights, edges, alpha = self.NO_PARTITION[name]
         graph = weighted_graph(weights, edges)
-        q, cliques = graphs._fractional_clique_cover(*graphs._bitmasks(graph), witness_mask(graph))
-        assert q == 2 and any(y % 2 for _, y in cliques)
+        cover = graphs._fractional_clique_cover(*graphs._bitmasks(graph), witness_mask(graph))
+        assert cover[0] == q
+        self.assert_cover_weighs_alpha(graph, cover, alpha)
 
     def test_zero_pivots_runs_the_interior_point_method(self, monkeypatch):
         weights, edges, expected = self.NO_PARTITION["C5"]
@@ -744,32 +742,41 @@ class TestThetaFractionalCover:
             assert lovasz_theta(graph).stop == "clique_cover"
             assert abs(forced_interior_point(graph).value - float(alpha)) <= 1e-7
 
-    @pytest.mark.parametrize("name", ["C5", "C7", "co-C7", "paley13"])
-    def test_screen_fires_where_theta_exceeds_the_cover_bound(self, name):
-        graph = {
-            "C5": cycle_graph(5), "C7": cycle_graph(7), "co-C7": complement(cycle_graph(7)),
-            "paley13": paley13(),
-        }[name]
-        assert cover_screen(graph)
-
-    @pytest.mark.parametrize("name", ["C5", "half"])
-    def test_screen_holds_back_where_a_cover_closes(self, name):
-        weights, edges, expected = self.NO_PARTITION[name]
-        graph = weighted_graph(weights, edges)
-        assert not cover_screen(graph)
-        result = lovasz_theta(graph)
-        assert result.stop == "clique_cover" and result.value == float(expected)
-        assert forced_interior_point(graph).iterations > 0
-
     @settings(max_examples=120, deadline=None)
     @given(st.one_of(weighted_graphs(), integer_weighted_graphs()))
-    def test_screen_fires_only_where_no_cover_exists(self, case):
+    def test_cover_exists_exactly_where_alpha_star_is_alpha(self, case):
+        # alpha*_w, the fractional packing number, from HiGHS over the
+        # maximal cliques of G+ found by brute force: a cover of weight
+        # alpha_w exists iff alpha*_w = alpha_w
+        from scipy.optimize import linprog
+
         graph, _ = case
-        if cover_screen(graph):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(graphs, "_cover_screen", lambda *args: False)
-                args = (*graphs._bitmasks(graph), witness_mask(graph))
-                assert graphs._fractional_clique_cover(*args) is None
+        weights, adj = graphs._bitmasks(graph)
+        alpha, _ = independence_number(graph)
+        positive = [v for v, w in enumerate(weights) if w > 0]
+
+        def is_clique(members):
+            return all(adj[a] >> b & 1 for a in members for b in members if a != b)
+
+        subsets = [
+            c for c in range(1, 1 << len(positive))
+            if is_clique([v for i, v in enumerate(positive) if c >> i & 1])
+        ]
+        maximal = [c for c in subsets if not any(c != d and c & d == c for d in subsets)]
+        alpha_star = 0.0
+        if positive:
+            A = [[c >> i & 1 for i in range(len(positive))] for c in maximal]
+            lp = linprog(
+                [-float(weights[v]) for v in positive], A_ub=A, b_ub=[1.0] * len(A),
+                method="highs",
+            )
+            assert lp.status == 0
+            alpha_star = -lp.fun
+        cover = graphs._fractional_clique_cover(weights, adj, witness_mask(graph))
+        closes = abs(alpha_star - float(alpha)) <= 1e-9 * max(1.0, float(alpha))
+        assert (cover is not None) == closes
+        if cover is not None:
+            self.assert_cover_weighs_alpha(graph, cover, alpha)
 
     @settings(max_examples=80, deadline=None)
     @given(weighted_graphs())

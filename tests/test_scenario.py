@@ -384,3 +384,20 @@ class TestJsonRejects:
         # int() took 0.9 as 0 and True as 1, and overflowed on 1e400
         with pytest.raises(ValueError, match="expected an integer"):
             load_graph_with(field, value)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # A0 twice in one context used to reach Event's own check only
+            # when the graph was built
+            ({"contexts": [["A0", "A0"]]}, "repeats a measurement"),
+            # the same context twice used to duplicate its events: alpha 2
+            # for one dichotomic measurement
+            ({"contexts": [["A0"], ["A0"]]}, "listed twice"),
+            ({"measurements": [{"id": "A0", "party": 1}]}, "has party 1"),
+        ],
+    )
+    def test_repeated_or_misassigned_measurements(self, change, message):
+        data = {"parties": 1, "measurements": [{"id": "A0", "party": 0}], "contexts": [["A0"]]}
+        with pytest.raises(ValueError, match=message):
+            scenario_from_json({**data, **change})
