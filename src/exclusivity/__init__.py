@@ -6,7 +6,7 @@ to analyse Hardy-type logical paradoxes on top of them:
 
 - ``scenario``     measurement scenarios, events, exclusivity graphs
 - ``graphs``       graph invariants: independence number, Lovasz theta,
-                   odd holes, orthonormal representations, isomorphism
+                   odd holes, orthonormal representations
 - ``classical``    deterministic strategies and noncontextual behaviors
 - ``quantum``      state vectors (exact and float), projective models,
                    the ququart realization of the CHSH paradox

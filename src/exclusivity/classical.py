@@ -20,7 +20,6 @@ from .scenario import (
     Event,
     Scenario,
     Weight,
-    enumerate_events,
     event_from_json,
     event_to_json,
     number_from_json,
@@ -83,6 +82,7 @@ class Behavior:
     def __post_init__(self):
         probs = dict(self.probabilities)
         object.__setattr__(self, "probabilities", probs)
+        given: dict[tuple[str, ...], list] = {ctx: [] for ctx in self.scenario.contexts}
         for event, p in probs.items():
             self.scenario.check_event(event)
             try:
@@ -91,15 +91,25 @@ class Behavior:
                 in_range = False
             if not in_range:
                 raise ValueError(f"probability {p} for {event} is negative or not finite")
-        for ctx in self.scenario.contexts:
-            events = self.scenario.context_events(ctx)
-            missing = [e for e in events if e not in probs]
-            if missing:
+            if event.measurement_ids in given:
+                given[event.measurement_ids].append(p)
+        # a context's events are counted, not enumerated, so checking a
+        # behavior costs what it gives, whatever outcome counts it declares
+        for ctx, values in given.items():
+            counts = [self.scenario.measurement(m).num_outcomes for m in ctx]
+            size = math.prod(counts)
+            if len(values) < size:
+                # every event before the first missing one is given, so none
+                # of its outcomes exceeds len(values)
+                cut = [range(min(n, len(values) + 1)) for n in counts]
+                events = (Event(tuple(zip(ctx, o))) for o in itertools.product(*cut))
+                first = next(e for e in events if e not in probs)
                 raise MissingEventError(
-                    f"behavior misses events {[str(e) for e in missing]} of context {ctx}"
+                    f"behavior misses {size - len(values)} of the {size} events of context "
+                    f"{ctx}, the first {first}"
                 )
             try:
-                total = float(sum(probs[e] for e in events))
+                total = float(sum(values))
             except OverflowError:  # exact terms beyond a float, in float() or in sum()
                 total = math.inf
             if abs(total - 1.0) > self.NORMALIZATION_TOL:
@@ -135,12 +145,6 @@ def enumerate_deterministic(scenario: Scenario) -> list[DeterministicStrategy]:
         DeterministicStrategy(tuple(zip(ids, outcomes)))
         for outcomes in itertools.product((0, 1), repeat=len(ids))
     ]
-
-
-def behavior_from_strategy(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior:
-    """Indicator behavior: exactly one event per context has probability 1."""
-    probs = {e: (1 if strategy.occurs(e) else 0) for e in enumerate_events(scenario)}
-    return Behavior(scenario=scenario, probabilities=probs)
 
 
 def classical_paradox_max(

@@ -11,9 +11,11 @@ Subcommands::
 Every run prints a human summary; ``--json`` prints the full machine
 payload instead, and ``--out FILE`` writes it to disk either way.  Exit
 codes: 0 ok, 1 non-convergence or numerical failure, 2 input error.  Input
-errors are raised as ``InputError`` where the input is read; any other
-exception is a bug and propagates.  Values with an exact rational form are
-printed as fraction and decimal.
+errors, an unreadable file or an unwritable ``--out`` among them, are raised
+as ``InputError`` where they arise; any other exception is a bug and
+propagates.  Each command's summary formatter sits beside it and reads only
+its payload.  Values with an exact rational form are printed as fraction and
+decimal.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ def _fmt(value) -> str:
 
 def _load_json(path: str):
     try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise InputError(f"no such file: {path}")
-    except json.JSONDecodeError as err:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as err:
+        raise InputError(f"cannot read {path}: {err.strerror or err}")
+    except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, or past the parser's limits
         raise InputError(f"malformed JSON in {path}: {err}")
 
 
@@ -136,6 +138,23 @@ def cmd_graph(args) -> dict:
     return payload
 
 
+def _graph_summary(payload: dict) -> list[str]:
+    lines = [
+        f"  {payload['name']}: {payload['vertices']} vertices, {payload['edges']} edges",
+        f"  independence number alpha = {_fmt(payload['independence_number'])}, "
+        f"witness {payload['independence_witness']}",
+    ]
+    theta = payload["lovasz_theta"]
+    if theta is None:
+        lines.append(f"  lovasz theta: not computed ({payload['lovasz_theta_skipped']})")
+    else:
+        lines.append(f"  lovasz theta = {theta['value']:.7f} (gap {theta['duality_gap']:.1e})")
+        if theta["stop"] == "clique_cover":
+            lines.append("  exact: alpha meets a clique cover")
+    lines.append(f"  pentagons (induced 5-holes): {len(payload['odd_holes_5'])}")
+    return lines
+
+
 def cmd_verify(args) -> dict:
     behavior = _resolve_behavior(args.behavior)
     if args.spec not in paradox.BUILTIN_SPECS:
@@ -149,6 +168,17 @@ def cmd_verify(args) -> dict:
     except classical.MissingEventError as err:
         raise InputError(f"behavior does not cover the spec events: {err}")
     return {"spec": args.spec, "behavior": args.behavior, "report": report.to_json()}
+
+
+def _verify_summary(payload: dict) -> list[str]:
+    report = payload["report"]
+    saturation = enumerate(report["saturation_residuals"])
+    return [
+        f"  spec {payload['spec']}: verified = {report['verified']}",
+        f"  p_hardy = {report['p_hardy']} ({report['p_hardy_float']:.6f})",
+        *(f"  zero {label}: residual {r}" for label, r in report["zero_residuals"].items()),
+        *(f"  saturation {k}: |sum - 1| = {r}" for k, r in saturation),
+    ]
 
 
 def _optimizer_config(args, default: optimize.OptimizerConfig) -> optimize.OptimizerConfig:
@@ -188,6 +218,22 @@ def cmd_optimize(args) -> dict:
     return payload
 
 
+def _optimize_summary(payload: dict) -> list[str]:
+    lines = [
+        f"  task {payload['task']}: best value {payload['best_value']:.8f}",
+        f"  feasible = {payload['feasible']}, restarts = {payload['restarts_completed']}",
+    ]
+    if payload.get("classification"):
+        lines.append(f"  classification: {payload['classification']}")
+    statuses = [
+        stage["status"] for restart in payload.get("restarts", ()) for stage in restart["stages"]
+    ]
+    stopped = sum(status != 0 for status in statuses)
+    if stopped:
+        lines.append(f"  {stopped} of {len(statuses)} stages stopped with nonzero status")
+    return lines
+
+
 EVENT_SUM_INEQUALITIES = {
     "chsh": inequalities.chsh_probability_inequality,
     "kcbs": inequalities.kcbs_inequality,
@@ -211,6 +257,15 @@ def cmd_inequality(args) -> dict:
     except classical.MissingEventError as err:
         raise InputError(f"behavior does not cover the {args.name} events: {err}")
     return {"inequality": args.name, "behavior": args.behavior, "report": result.to_json()}
+
+
+def _inequality_summary(payload: dict) -> list[str]:
+    report = payload["report"]
+    bound = report.get("bound", report.get("nchv_bound"))
+    return [
+        f"  {payload['inequality']}: value {report['value']} vs bound {bound}",
+        f"  violated = {report['violated']}",
+    ]
 
 
 def cmd_tables(args) -> dict:
@@ -266,73 +321,25 @@ def cmd_tables(args) -> dict:
     }
 
 
-def _human_summary(command: str, payload: dict) -> str:
-    lines = [f"exclusivity {command}"]
-    if command == "graph":
+def _tables_summary(payload: dict) -> list[str]:
+    h = payload["hierarchy"]
+    local = h["local_measurements"]
+    local_str = f"{local:.2e}" if local is not None else "not converged"
+    lines = [
+        "  p_hardy hierarchy:",
+        f"    classical theory      : {_fmt(h['classical'])}",
+        f"    local measurements    : {local_str}",
+        f"    entangled measurements: {h['entangled_measurements']} "
+        f"= {h['entangled_measurements_float']:.6f}",
+        "  paradox comparison (p_hardy, dim, #measurements):",
+    ]
+    for row in payload["comparison"]:
+        p = row["p_hardy_float"]
+        p_str = "infeasible" if p is None else f"{row.get('p_hardy', p)} ({p:.6f})"
         lines.append(
-            f"  {payload['name']}: {payload['vertices']} vertices, {payload['edges']} edges"
+            f"    {row['paradox']:16s} {p_str} dim={row['dimension']} #M={row['measurements']}"
         )
-        lines.append(
-            f"  independence number alpha = {_fmt(payload['independence_number'])}, "
-            f"witness {payload['independence_witness']}"
-        )
-        theta = payload["lovasz_theta"]
-        if theta is None:
-            lines.append(f"  lovasz theta: not computed ({payload['lovasz_theta_skipped']})")
-        else:
-            lines.append(
-                f"  lovasz theta = {theta['value']:.7f} (gap {theta['duality_gap']:.1e})"
-            )
-            if theta["stop"] == "clique_cover":
-                lines.append("  exact: alpha meets a clique cover")
-        lines.append(f"  pentagons (induced 5-holes): {len(payload['odd_holes_5'])}")
-    elif command == "verify":
-        report = payload["report"]
-        lines.append(f"  spec {payload['spec']}: verified = {report['verified']}")
-        lines.append(f"  p_hardy = {report['p_hardy']} ({report['p_hardy_float']:.6f})")
-        for label, residual in report["zero_residuals"].items():
-            lines.append(f"  zero {label}: residual {residual}")
-        for k, residual in enumerate(report["saturation_residuals"]):
-            lines.append(f"  saturation {k}: |sum - 1| = {residual}")
-    elif command == "optimize":
-        lines.append(f"  task {payload['task']}: best value {payload['best_value']:.8f}")
-        lines.append(
-            f"  feasible = {payload['feasible']}, restarts = {payload['restarts_completed']}"
-        )
-        if payload.get("classification"):
-            lines.append(f"  classification: {payload['classification']}")
-        statuses = [
-            stage["status"] for restart in payload.get("restarts", ()) for stage in restart["stages"]
-        ]
-        stopped = sum(status != 0 for status in statuses)
-        if stopped:
-            lines.append(f"  {stopped} of {len(statuses)} stages stopped with nonzero status")
-    elif command == "inequality":
-        report = payload["report"]
-        value = report.get("value", report.get("value_float"))
-        bound = report.get("bound", report.get("nchv_bound"))
-        lines.append(f"  {payload['inequality']}: value {value} vs bound {bound}")
-        lines.append(f"  violated = {report['violated']}")
-    elif command == "tables":
-        h = payload["hierarchy"]
-        local = h["local_measurements"]
-        local_str = f"{local:.2e}" if local is not None else "not converged"
-        lines.append("  p_hardy hierarchy:")
-        lines.append(f"    classical theory      : {_fmt(h['classical'])}")
-        lines.append(f"    local measurements    : {local_str}")
-        lines.append(
-            f"    entangled measurements: {h['entangled_measurements']} "
-            f"= {h['entangled_measurements_float']:.6f}"
-        )
-        lines.append("  paradox comparison (p_hardy, dim, #measurements):")
-        for row in payload["comparison"]:
-            p = row["p_hardy_float"]
-            p_str = "infeasible" if p is None else f"{row.get('p_hardy', p)} ({p:.6f})"
-            lines.append(
-                f"    {row['paradox']:16s} {p_str} "
-                f"dim={row['dimension']} #M={row['measurements']}"
-            )
-    return "\n".join(lines)
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,36 +372,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", nargs="?", default="chsh", help=f"builtin: {', '.join(BUILTIN_GRAPHS)}")
     p.add_argument("--scenario-file", type=str, default=None)
     tolerance(p)
-    p.set_defaults(func=cmd_graph)
+    p.set_defaults(func=cmd_graph, summary=_graph_summary)
 
     p = sub.add_parser("verify", help="verify a behavior against a paradox spec")
     p.add_argument("behavior", help=f"behavior file or builtin: {', '.join(BUILTIN_BEHAVIORS)}")
     p.add_argument("spec", help=f"spec name: {', '.join(sorted(paradox.BUILTIN_SPECS))}")
     tolerance(p)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, summary=_verify_summary)
 
     p = sub.add_parser("optimize", help="run a model-family optimization task")
     p.add_argument("task", help=f"task: {', '.join(OPTIMIZE_TASKS)}")
     p.add_argument("--constrained", action="store_true", help="kcbs: add paradox conditions")
     p.add_argument("--dimension", type=int, default=3, help="kcbs: vector dimension")
     optimizer(p)
-    p.set_defaults(func=cmd_optimize)
+    p.set_defaults(func=cmd_optimize, summary=_optimize_summary)
 
     p = sub.add_parser("inequality", help="evaluate an inequality on a behavior")
     p.add_argument("name", help="chsh | kcbs | chsh-correlator")
     p.add_argument("--behavior", type=str, default=None, help="behavior file or builtin")
     outputs(p)
-    p.set_defaults(func=cmd_inequality)
+    p.set_defaults(func=cmd_inequality, summary=_inequality_summary)
 
     p = sub.add_parser("tables", help="regenerate the hierarchy and comparison tables")
     optimizer(p)
-    p.set_defaults(func=cmd_tables)
+    p.set_defaults(func=cmd_tables, summary=_tables_summary)
 
     return parser
 
 
 def _digest(args: argparse.Namespace) -> str:
-    skip = {"func", "out", "json"}  # outputs, not inputs
+    skip = {"func", "summary", "out", "json"}  # outputs, not inputs
     data = {k: v for k, v in sorted(vars(args).items()) if k not in skip}
     path = data.get("scenario_file")
     if path and Path(path).exists():
@@ -409,6 +416,24 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.perf_counter()
     try:
         payload = args.func(args)
+        report = {
+            "command": args.command,
+            "inputs_digest": _digest(args),
+            "results": payload,
+            "versions": {
+                "exclusivity": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+                "python": sys.version.split()[0],
+            },
+            "wall_clock_seconds": round(time.perf_counter() - start, 3),
+        }
+        text = json.dumps(report, indent=2, default=str)
+        if args.out:
+            try:
+                Path(args.out).write_text(text + "\n", encoding="utf-8")
+            except OSError as err:
+                raise InputError(f"cannot write {args.out}: {err.strerror or err}")
     except InputError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -421,22 +446,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             file=sys.stderr,
         )
         return 1
-    report = {
-        "command": args.command,
-        "inputs_digest": _digest(args),
-        "results": payload,
-        "versions": {
-            "exclusivity": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": sys.version.split()[0],
-        },
-        "wall_clock_seconds": round(time.perf_counter() - start, 3),
-    }
-    text = json.dumps(report, indent=2, default=str)
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    print(text if args.json else _human_summary(args.command, payload))
+    print(text if args.json else "\n".join([f"exclusivity {args.command}", *args.summary(payload)]))
     if args.command in ("optimize", "tables") and not payload.get("feasible", True):
         return 1
     return 0

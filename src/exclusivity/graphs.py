@@ -67,22 +67,11 @@ class ThetaNonConvergenceError(RuntimeError):
         self.best_dual = best_dual
 
 
-def complete_graph(n: int) -> ExclusivityGraph:
-    return ExclusivityGraph(
-        vertices=tuple(GraphVertex(id=i) for i in range(n)),
-        edges=tuple((i, j) for i in range(n) for j in range(i + 1, n)),
-    )
-
-
 def cycle_graph(n: int) -> ExclusivityGraph:
     return ExclusivityGraph(
         vertices=tuple(GraphVertex(id=i) for i in range(n)),
         edges=tuple((i, (i + 1) % n) for i in range(n)) if n > 1 else (),
     )
-
-
-def edgeless_graph(n: int) -> ExclusivityGraph:
-    return ExclusivityGraph(vertices=tuple(GraphVertex(id=i) for i in range(n)), edges=())
 
 
 def complement(graph: ExclusivityGraph) -> ExclusivityGraph:
@@ -839,66 +828,3 @@ def theta_lower_bound(graph: ExclusivityGraph, rep: OrthonormalRepresentation) -
         total = total + term
     return total
 
-
-# ---------------------------------------------------------------------------
-# Graph isomorphism
-
-
-def find_vertex_event_mapping(
-    graph_a: ExclusivityGraph,
-    graph_b: ExclusivityGraph,
-    pins: Optional[Mapping[int, int]] = None,
-) -> Optional[dict[int, int]]:
-    """Vertex-id isomorphism from ``graph_a`` onto ``graph_b``, or None.
-
-    Backtracking with degree pruning.  ``pins`` forces specific assignments
-    (pinned vertices are placed first); among valid mappings the first one in
-    canonical order (vertices and candidates by ascending id) is returned, so
-    the result is deterministic.
-    """
-    if graph_a.n != graph_b.n:
-        return None
-    ids_a = sorted(graph_a.vertex_ids())
-    ids_b = sorted(graph_b.vertex_ids())
-    adj_a = graph_a.adjacency()
-    adj_b = graph_b.adjacency()
-    deg_a = {v: len(adj_a[v]) for v in ids_a}
-    deg_b = {v: len(adj_b[v]) for v in ids_b}
-    if sorted(deg_a.values()) != sorted(deg_b.values()):
-        return None
-    pins = dict(pins or {})
-    for a, b in pins.items():
-        if a not in deg_a or b not in deg_b or deg_a[a] != deg_b[b]:
-            return None
-
-    order = sorted(pins) + [v for v in ids_a if v not in pins]
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def candidates(a: int) -> list[int]:
-        if a in pins:
-            return [pins[a]]
-        return [b for b in ids_b if b not in used and deg_b[b] == deg_a[a]]
-
-    def consistent(a: int, b: int) -> bool:
-        for a2, b2 in mapping.items():
-            if (a2 in adj_a[a]) != (b2 in adj_b[b]):
-                return False
-        return True
-
-    def search(k: int) -> bool:
-        if k == len(order):
-            return True
-        a = order[k]
-        for b in candidates(a):
-            if b in used or not consistent(a, b):
-                continue
-            mapping[a] = b
-            used.add(b)
-            if search(k + 1):
-                return True
-            del mapping[a]
-            used.remove(b)
-        return False
-
-    return dict(mapping) if search(0) else None

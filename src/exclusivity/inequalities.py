@@ -35,6 +35,7 @@ from .scenario import (
     chsh_events,
     hardy_pentagon_events,
     graph_from_events,
+    number_to_json,
 )
 
 Number = Union[int, float, Fraction]
@@ -42,14 +43,6 @@ Number = Union[int, float, Fraction]
 CHSH_CLASSICAL_BOUND = 3
 KCBS_CLASSICAL_BOUND = 2
 CORRELATOR_NCHV_BOUND = -6
-
-
-def _num(x: Number):
-    """JSON form of a value: a ``Fraction`` as its string, an int as is,
-    anything else as a float."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return x if isinstance(x, int) else float(x)
 
 
 @dataclass(frozen=True)
@@ -97,12 +90,12 @@ class InequalityEvaluation:
     def to_json(self) -> dict:
         return {
             "name": self.name,
-            "value": _num(self.value),
+            "value": number_to_json(self.value),
             "value_float": float(self.value),
-            "bound": _num(self.bound),
+            "bound": number_to_json(self.bound),
             "direction": "<=",
             "violated": self.violated,
-            "breakdown": {label: _num(v) for label, v in self.breakdown},
+            "breakdown": {label: number_to_json(v) for label, v in self.breakdown},
         }
 
 
@@ -160,13 +153,13 @@ class CorrelatorInequalityResult:
 
     def to_json(self) -> dict:
         return {
-            "value": _num(self.value),
+            "value": number_to_json(self.value),
             "value_float": float(self.value),
             "nchv_bound": self.nchv_bound,
             "violated": self.violated,
-            "vertex_sum": _num(self.vertex_sum),
+            "vertex_sum": number_to_json(self.vertex_sum),
             "closed_form_valid": self.closed_form_valid,
-            "edges": {f"{i}-{j}": _num(v) for (i, j), v in self.edge_values},
+            "edges": {f"{i}-{j}": number_to_json(v) for (i, j), v in self.edge_values},
         }
 
 

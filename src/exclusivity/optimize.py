@@ -176,7 +176,6 @@ class OptimizationResult:
     classification: Optional[Classification]
     restarts_completed: int
     restart_summaries: tuple[RestartSummary, ...]
-    best_model: Optional[BellLocalModel] = None
     best_raw: tuple[float, ...] = ()
 
     def to_json(self) -> dict:
@@ -217,7 +216,7 @@ def _multistart(
     task: str,
     sample_start: Callable[[np.random.Generator], np.ndarray],
     evaluate: Callable[[np.ndarray], Evaluation],
-    describe: Callable[[np.ndarray], tuple[dict, dict, Optional[BellLocalModel]]],
+    describe: Callable[[np.ndarray], tuple[dict, dict]],
     config: OptimizerConfig,
     classify: Optional[Callable[[np.ndarray], Classification]] = None,
     polish_system: Optional[Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]] = None,
@@ -328,7 +327,7 @@ def _multistart(
             best = (x, value, residuals, cls)
 
     x, value, residuals, cls = best
-    parameters, residual_map, model = describe(x)
+    parameters, residual_map = describe(x)
     return OptimizationResult(
         task=task,
         best_value=value,
@@ -338,7 +337,6 @@ def _multistart(
         classification=cls,
         restarts_completed=config.restarts,
         restart_summaries=tuple(summaries),
-        best_model=model,
         best_raw=tuple(float(v) for v in x),
     )
 
@@ -444,12 +442,10 @@ def _maximize_bell_paradox(
         return parts[:, 0], parts[:, 1:]
 
     def describe(x: np.ndarray):
-        model = _bell_model_from_raw(x)
         residuals = evaluate(x)[2]
         return (
-            {"model": model.to_json(), "raw": [float(v) for v in x]},
+            {"model": _bell_model_from_raw(x).to_json(), "raw": [float(v) for v in x]},
             dict(zip(zero_labels, (float(r) for r in residuals))),
-            model,
         )
 
     def classify(x: np.ndarray) -> Classification:
@@ -638,7 +634,6 @@ def maximize_kcbs_qutrit(
                 "dimension": dimension,
             },
             dict(zip(labels, (float(r) for r in residuals))),
-            None,
         )
 
     def sample(rng: np.random.Generator) -> np.ndarray:

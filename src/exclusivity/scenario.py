@@ -289,9 +289,6 @@ class ExclusivityGraph:
         except KeyError:
             raise UnknownVertexError(vid) from None
 
-    def event_of(self, vid: int) -> Optional[Event]:
-        return self.vertex(vid).event
-
     def vertex_by_event(self, event: Event) -> GraphVertex:
         for v in self.vertices:
             if v.event == event:

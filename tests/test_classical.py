@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from exclusivity import graphs, paradox, quantum, scenario
 from exclusivity.classical import (
@@ -9,12 +11,12 @@ from exclusivity.classical import (
     DeterministicStrategy,
     MissingEventError,
     behavior_from_json,
-    behavior_from_strategy,
     behavior_to_json,
     classical_paradox_max,
     enumerate_deterministic,
 )
 from exclusivity.scenario import Measurement, Scenario, bell_event, chsh_events, hardy_pentagon_events
+from builders import behavior_from_strategy
 from oracles import classical_max
 
 
@@ -199,6 +201,23 @@ class TestBehaviorValidation:
         probs = {e: 0.25 for e in events[:-1]}
         with pytest.raises(MissingEventError):
             Behavior(scenario=bell222, probabilities=probs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(counts=st.lists(st.integers(2, 4), min_size=1, max_size=3), data=st.data())
+    def test_missing_event_named_is_the_first_in_outcome_order(self, counts, data):
+        measurements = tuple(
+            Measurement(id=f"M{k}", party=k, num_outcomes=n) for k, n in enumerate(counts)
+        )
+        s = Scenario(len(counts), measurements, (tuple(m.id for m in measurements),))
+        events = s.context_events(s.contexts[0])
+        kept = data.draw(st.lists(st.booleans(), min_size=len(events), max_size=len(events)))
+        assume(not all(kept))
+        with pytest.raises(MissingEventError) as info:
+            Behavior(scenario=s, probabilities={e: 0 for e, k in zip(events, kept) if k})
+        first = events[kept.index(False)]
+        message = info.value.args[0]
+        assert f"misses {kept.count(False)} of the {len(events)} events" in message
+        assert message.endswith(f"the first {first}")
 
     def test_probability_lookup_error(self, bell222):
         behavior = behavior_from_strategy(

@@ -8,6 +8,7 @@ import pytest
 
 from exclusivity import classical, cli, graphs, optimize, quantum, scenario
 from exclusivity.cli import main
+from builders import behavior_from_strategy
 
 
 def run(tmp_path, *args, out_name="report.json"):
@@ -175,7 +176,7 @@ class TestVerifyCommand:
 
     def test_deterministic_behavior_rejected(self, tmp_path):
         strategy = classical.enumerate_deterministic(scenario.bell_222())[5]
-        behavior = classical.behavior_from_strategy(strategy, scenario.bell_222())
+        behavior = behavior_from_strategy(strategy, scenario.bell_222())
         path = tmp_path / "behavior.json"
         path.write_text(json.dumps(classical.behavior_to_json(behavior)))
         code, report = run(tmp_path, "verify", str(path), "chsh")
@@ -201,6 +202,23 @@ class TestVerifyCommand:
         path.write_text(json.dumps(data))
         assert main(["verify", str(path), "chsh"]) == 2
         assert "invalid behavior file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("num_outcomes", [20000, 10**12])
+    def test_declared_outcomes_do_not_set_the_cost(self, tmp_path, capsys, num_outcomes):
+        # one event given of a measurement that declares num_outcomes: the
+        # check counts the context's events instead of listing them
+        measurement = {"id": "M", "party": 0, "num_outcomes": num_outcomes}
+        data = {
+            "scenario": {"parties": 1, "measurements": [measurement], "contexts": [["M"]]},
+            "probabilities": [[[["M", 0]], 1]],
+        }
+        path = tmp_path / "behavior.json"
+        path.write_text(json.dumps(data))
+        assert main(["verify", str(path), "hardy"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert f"misses {num_outcomes - 1} of the {num_outcomes} events" in err
+        assert "the first (1|M)" in err
 
     def test_unknown_spec(self, tmp_path):
         assert main(["verify", "construction", "nope"]) == 2
@@ -402,3 +420,89 @@ class TestOptionsPerSubcommand:
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert "usage:" in err and "unrecognized arguments" in err
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["graph", "--scenario-file", "{dir}/missing.json"],
+            ["graph", "--scenario-file", "{dir}"],
+            ["verify", "{dir}", "hardy"],
+            ["graph", "--scenario-file", "{dir}/latin1.json"],
+            ["verify", "{dir}/latin1.json", "hardy"],
+            ["graph", "--scenario-file", "{dir}/deep.json"],
+            ["graph", "--scenario-file", "{dir}/long_number.json"],
+            ["graph", "pentagon", "--out", "{dir}/missing/report.json"],
+            ["graph", "pentagon", "--out", "{dir}"],
+        ],
+    )
+    def test_is_an_input_error(self, tmp_path, capsys, argv):
+        (tmp_path / "latin1.json").write_bytes('{"parties": "\u00e9"}'.encode("latin-1"))
+        (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+        (tmp_path / "long_number.json").write_text("[1" + "0" * 5000 + "]")
+        assert main([a.format(dir=tmp_path) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+
+class TestHumanSummaries:
+    """The exact stdout of the commands that run no optimizer."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["graph", "pentagon"],
+                """\
+exclusivity graph
+  pentagon: 5 vertices, 5 edges
+  independence number alpha = 2, witness [0, 13]
+  lovasz theta = 2.2360680 (gap 1.9e-08)
+  pentagons (induced 5-holes): 1
+""",
+            ),
+            (
+                ["graph", "chsh"],
+                """\
+exclusivity graph
+  chsh: 8 vertices, 12 edges
+  independence number alpha = 3, witness [1, 5, 9]
+  lovasz theta = 3.4142136 (gap 5.2e-09)
+  pentagons (induced 5-holes): 8
+""",
+            ),
+            (
+                ["verify", "construction", "chsh-contextual"],
+                """\
+exclusivity verify
+  spec chsh-contextual: verified = True
+  p_hardy = 1/6 (0.166667)
+  saturation 0: |sum - 1| = 0
+  saturation 1: |sum - 1| = 0
+  saturation 2: |sum - 1| = 0
+""",
+            ),
+            (
+                ["inequality", "chsh"],
+                """\
+exclusivity inequality
+  chsh: value 19/6 vs bound 3
+  violated = True
+""",
+            ),
+            (
+                ["inequality", "chsh-correlator"],
+                """\
+exclusivity inequality
+  chsh-correlator: value -7 vs bound -6
+  violated = True
+""",
+            ),
+        ],
+    )
+    def test_stdout(self, capsys, argv, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected

@@ -12,17 +12,15 @@ from exclusivity.graphs import (
     ThetaNonConvergenceError,
     OrthonormalRepresentation,
     complement,
-    complete_graph,
     cycle_graph,
-    edgeless_graph,
     find_odd_holes,
-    find_vertex_event_mapping,
     independence_number,
     lovasz_theta,
     theta_lower_bound,
     verify_orthonormal_representation,
 )
 from exclusivity.scenario import ExclusivityGraph, GraphVertex, bell_event
+from builders import assert_isomorphism, complete_graph, edgeless_graph
 
 SQRT5 = math.sqrt(5)
 
@@ -56,7 +54,7 @@ class TestIndependenceNumber:
     def test_chsh_witness(self, chsh_graph):
         value, witness = independence_number(chsh_graph)
         assert value == 3
-        events = {str(chsh_graph.event_of(v)) for v in witness}
+        events = {str(chsh_graph.vertex(v).event) for v in witness}
         assert events == {"(01|00)", "(01|01)", "(01|10)"}
 
     def test_edgeless(self):
@@ -163,7 +161,9 @@ class TestLovaszTheta:
             edges=tuple((i, (i + 1) % n) for i in range(n))
             + tuple((i, i + 4) for i in range(4)),
         )
-        assert find_vertex_event_mapping(circulant, chsh_graph) is not None
+        labels = ("01|00", "10|01", "11|11", "01|10", "10|00", "01|01", "00|11", "10|10")
+        mapping = {i: chsh_graph.vertex_by_event(bell_event(s)).id for i, s in enumerate(labels)}
+        assert_isomorphism(circulant, chsh_graph, mapping)
 
         target = 2 + math.sqrt(2)
         coeff = {0: 1 / 8, 2: 1 / 16, 6: 1 / 16, 3: 1 / (8 * math.sqrt(2)), 5: 1 / (8 * math.sqrt(2))}
@@ -800,7 +800,7 @@ class TestThetaFractionalCover:
 class TestComplement:
     def test_pentagon_self_complementary(self):
         c5 = cycle_graph(5)
-        assert find_vertex_event_mapping(complement(c5), c5) is not None
+        assert_isomorphism(complement(c5), c5, {i: 2 * i % 5 for i in range(5)})
 
     def test_complete_to_edgeless(self):
         assert len(complement(complete_graph(5)).edges) == 0
@@ -973,39 +973,3 @@ class TestThetaLowerBound:
             bound = theta_lower_bound(g, rep)
             theta = lovasz_theta(g)
             assert bound <= theta.value + theta.duality_gap + 1e-7
-
-
-class TestIsomorphism:
-    def test_c5_identity(self):
-        c5 = cycle_graph(5)
-        assert find_vertex_event_mapping(c5, c5) == {i: i for i in range(5)}
-
-    def test_c5_vs_k5(self):
-        assert find_vertex_event_mapping(cycle_graph(5), complete_graph(5)) is None
-
-    def test_different_sizes(self):
-        assert find_vertex_event_mapping(cycle_graph(5), cycle_graph(7)) is None
-
-    def test_pins_respected(self, chsh_graph):
-        contextual = quantum.contextual_chsh_graph()
-        pins = {
-            1: chsh_graph.vertex_by_event(bell_event("01|00")).id,
-            8: chsh_graph.vertex_by_event(bell_event("01|10")).id,
-        }
-        mapping = find_vertex_event_mapping(contextual, chsh_graph, pins=pins)
-        assert mapping is not None
-        assert mapping[1] == pins[1] and mapping[8] == pins[8]
-        adj_a = contextual.adjacency()
-        adj_b = chsh_graph.adjacency()
-        for i, j in contextual.edges:
-            assert mapping[j] in adj_b[mapping[i]]
-        for i in mapping:
-            assert len(adj_a[i]) == len(adj_b[mapping[i]])
-
-    def test_impossible_pin(self):
-        c5 = cycle_graph(5)
-        path = ExclusivityGraph(
-            vertices=tuple(GraphVertex(id=i) for i in range(5)),
-            edges=tuple((i, i + 1) for i in range(4)),
-        )
-        assert find_vertex_event_mapping(c5, path) is None

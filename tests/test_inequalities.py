@@ -18,6 +18,7 @@ from exclusivity.inequalities import (
     tsirelson_model,
 )
 from exclusivity.scenario import chsh_events
+from builders import behavior_from_strategy
 from oracles import classical_max
 
 SQRT2 = math.sqrt(2)
@@ -43,7 +44,7 @@ class TestSChsh:
 
     def test_best_deterministic(self, bell222):
         best = max(
-            s_chsh(classical.behavior_from_strategy(s, bell222))
+            s_chsh(behavior_from_strategy(s, bell222))
             for s in classical.enumerate_deterministic(bell222)
         )
         assert best == 3

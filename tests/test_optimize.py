@@ -55,7 +55,7 @@ class TestHardy:
         assert set(hardy_result.best_residuals) == {"(00|01)", "(00|10)", "(11|11)"}
 
     def test_forward_model_consistency(self, hardy_result):
-        model = hardy_result.best_model
+        model = BellLocalModel.from_json(hardy_result.best_parameters["model"])
         probs = bell_event_probabilities(model, [bell_event("00|00")])
         assert abs(probs[0] - hardy_result.best_value) <= 1e-9
 

@@ -14,6 +14,7 @@ from exclusivity.paradox import (
     verify,
 )
 from exclusivity.scenario import bell_222, bell_event
+from builders import behavior_from_strategy
 
 
 def bell_events(*labels):
@@ -134,7 +135,7 @@ class TestVerify:
     def test_every_deterministic_behavior_fails_chsh(self, bell222):
         spec = chsh_paradox_spec()
         for strategy in classical.enumerate_deterministic(bell222):
-            behavior = classical.behavior_from_strategy(strategy, bell222)
+            behavior = behavior_from_strategy(strategy, bell222)
             report = verify(behavior, spec)
             assert not report.verified
             if all(r == 0 for _, r in report.zero_residuals):

@@ -27,6 +27,8 @@ from exclusivity.scenario import (
     scenario_to_json,
     subgraph,
 )
+from builders import assert_isomorphism
+from oracles import bell_event_indices
 
 
 def single_context_scenario(num_measurements=2, outcomes=2):
@@ -124,7 +126,7 @@ class TestGraphBuild:
     def test_222_edge_breakdown(self, graph222):
         same_ctx = shared_alice = shared_bob = 0
         for i, j in graph222.edges:
-            e1, e2 = graph222.event_of(i), graph222.event_of(j)
+            e1, e2 = graph222.vertex(i).event, graph222.vertex(j).event
             if e1.measurement_ids == e2.measurement_ids:
                 same_ctx += 1
             elif e1.measurement_ids[0] == e2.measurement_ids[0]:
@@ -154,8 +156,6 @@ class TestGraphBuild:
                     assert graph222.has_edge(ids[a], ids[b])
 
     def test_relabeling_preserves_structure(self, graph222):
-        from exclusivity.graphs import find_vertex_event_mapping
-
         # swap the roles of the two parties: B-first labels
         swapped = bell_scenario((2, 2), 2)
         events = [
@@ -163,7 +163,12 @@ class TestGraphBuild:
             for e in enumerate_events(swapped)
         ]
         g2 = scenario.graph_from_events(events)
-        assert find_vertex_event_mapping(graph222, g2) is not None
+        # (ab|xy) -> (ba|yx)
+        mapping = {}
+        for v in graph222.vertices:
+            a, b, x, y = bell_event_indices(v.event)
+            mapping[v.id] = g2.vertex_by_event(bell_event(f"{b}{a}|{y}{x}")).id
+        assert_isomorphism(graph222, g2, mapping)
 
 
 class TestSubgraph:
@@ -197,7 +202,7 @@ class TestChshEventGraph:
 
     def test_01_00_adjacency(self, chsh_graph):
         v = chsh_graph.vertex_by_event(bell_event("01|00")).id
-        neighbours = {str(chsh_graph.event_of(u)) for u in chsh_graph.adjacency()[v]}
+        neighbours = {str(chsh_graph.vertex(u).event) for u in chsh_graph.adjacency()[v]}
         assert neighbours == {"(10|00)", "(10|01)", "(10|10)"}
 
     def test_two_pentagons_cover_vertices(self, chsh_graph):
