@@ -8,7 +8,7 @@ to analyse Hardy-type logical paradoxes on top of them:
 - ``graphs``       graph invariants: independence number, Lovasz theta,
                    odd holes, orthonormal representations
 - ``classical``    deterministic strategies and noncontextual behaviors
-- ``quantum``      state vectors (exact and float), projective models,
+- ``quantum``      exact state vectors, projective models,
                    the ququart realization of the CHSH paradox
 - ``paradox``      machine-checkable paradox specifications and verification
 - ``inequalities`` probability and correlator inequalities and their bounds

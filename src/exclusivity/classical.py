@@ -70,8 +70,9 @@ class DeterministicStrategy:
 class Behavior:
     """A full probability assignment over a scenario's events.
 
-    Probabilities may be floats or exact Fractions/ints.  Every context must
-    be covered completely and normalized within ``NORMALIZATION_TOL``.
+    Probabilities may be floats or exact Fractions/ints.  Every event must
+    lie in a context, and every context must be covered completely and
+    normalized within ``NORMALIZATION_TOL``.
     """
 
     scenario: Scenario
@@ -91,8 +92,11 @@ class Behavior:
                 in_range = False
             if not in_range:
                 raise ValueError(f"probability {p} for {event} is negative or not finite")
-            if event.measurement_ids in given:
-                given[event.measurement_ids].append(p)
+            if event.measurement_ids not in given:
+                raise ValueError(
+                    f"event {event} of {event.measurement_ids} is in no context of the scenario"
+                )
+            given[event.measurement_ids].append(p)
         # a context's events are counted, not enumerated, so checking a
         # behavior costs what it gives, whatever outcome counts it declares
         for ctx, values in given.items():

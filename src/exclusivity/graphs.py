@@ -749,9 +749,8 @@ def find_odd_holes(graph: ExclusivityGraph, length: int) -> list[tuple[int, ...]
 class OrthonormalRepresentation:
     """Unit vector per vertex, orthogonal across edges, plus optional handle.
 
-    Vectors are ``quantum.StateVector`` instances (exact or float); only
-    their ``is_exact``/``norm_sq``/``inner``/``inner_is_zero`` interface is
-    used here.
+    Vectors are exact ``quantum.StateVector`` instances; only their
+    ``norm_sq``/``inner``/``inner_is_zero``/``born`` interface is used here.
     """
 
     vectors: Mapping[int, Any]
@@ -780,32 +779,22 @@ def verify_orthonormal_representation(
 ) -> OrthonormalityReport:
     """Check unit norms and edge orthogonality of a representation.
 
-    Exact vectors are checked exactly; float vectors within 1e-9.
-    An empty report means the representation is valid for the graph.
+    Both checks are exact; each violation carries its float residual.  An
+    empty report means the representation is valid for the graph.
     """
     missing = [vid for vid in graph.vertex_ids() if vid not in rep.vectors]
     if missing:
         raise ValueError(f"representation misses vectors for vertices {missing}")
     unit = []
     for vid in graph.vertex_ids():
-        v = rep.vectors[vid]
-        if v.is_exact:
-            if v.norm_sq() != 1:
-                unit.append((vid, abs(float(v.norm_sq()) - 1.0)))
-        else:
-            residual = abs(float(v.norm_sq()) - 1.0)
-            if residual > 1e-9:
-                unit.append((vid, residual))
+        norm_sq = rep.vectors[vid].norm_sq()
+        if norm_sq != 1:
+            unit.append((vid, abs(float(norm_sq) - 1.0)))
     edge = []
     for i, j in graph.edges:
         u, v = rep.vectors[i], rep.vectors[j]
-        if u.is_exact and v.is_exact:
-            if not u.inner_is_zero(v):
-                edge.append(((i, j), abs(u.inner(v))))
-        else:
-            overlap = abs(u.inner(v))
-            if overlap > 1e-9:
-                edge.append(((i, j), overlap))
+        if not u.inner_is_zero(v):
+            edge.append(((i, j), abs(u.inner(v))))
     return OrthonormalityReport(unit_violations=tuple(unit), edge_violations=tuple(edge))
 
 
@@ -813,8 +802,8 @@ def theta_lower_bound(graph: ExclusivityGraph, rep: OrthonormalRepresentation) -
     """sum_i w_i |<v_i|psi>|^2 for the representation's handle.
 
     Any valid representation keeps this below theta of the graph, so the
-    returned number is a constructive lower bound.  Exact inputs give an
-    exact Fraction.
+    returned number is a constructive lower bound, exact for int and
+    Fraction weights.
     """
     if rep.handle is None:
         raise ValueError("representation has no handle vector")

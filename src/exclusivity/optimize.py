@@ -410,16 +410,8 @@ def _bell_model_from_raw(x: np.ndarray) -> BellLocalModel:
 
 
 def _sample_bell_start(rng: np.random.Generator) -> np.ndarray:
-    return np.concatenate(
-        [
-            rng.uniform(0.0, math.pi, 3),
-            rng.uniform(0.0, TAU, 1),
-            rng.uniform(0.0, math.pi, 1),
-            rng.uniform(0.0, TAU, 1),
-            rng.uniform(0.0, math.pi, 1),
-            rng.uniform(0.0, TAU, 1),
-        ]
-    )
+    pi = math.pi
+    return rng.uniform(0.0, [pi, pi, pi, TAU, pi, TAU, pi, TAU])
 
 
 def _maximize_bell_paradox(
@@ -636,12 +628,9 @@ def maximize_kcbs_qutrit(
             dict(zip(labels, (float(r) for r in residuals))),
         )
 
+    highs = np.tile([math.pi] * (per_vector - 1) + [TAU], 5)
+
     def sample(rng: np.random.Generator) -> np.ndarray:
-        chunks = []
-        for _ in range(5):
-            if per_vector > 1:
-                chunks.append(rng.uniform(0.0, math.pi, per_vector - 1))
-            chunks.append(rng.uniform(0.0, TAU, 1))
-        return np.concatenate(chunks)
+        return rng.uniform(0.0, highs)
 
     return _multistart(task, sample, evaluate, describe, config)

@@ -1,10 +1,9 @@
 """Quantum models for exclusivity graphs: states, projectors, Born rule.
 
-Two numeric tracks coexist.  Vectors whose entries are (Gaussian) integers
-divided by a common square-root normalizer, like (1,1,0,0)/sqrt(2), are kept
-exact: inner products are Gaussian integers over sqrt(d1*d2), so squared
-overlaps and orthogonality tests are exact rational arithmetic.  Everything
-else falls back to complex floats.
+State vectors are exact: their entries are Gaussian integers divided by a
+common square-root normalizer, like (1,1,0,0)/sqrt(2).  Inner products are
+Gaussian integers over sqrt(d1*d2), so squared overlaps and orthogonality
+tests are exact rational arithmetic.
 
 The module ships the explicit ququart realization of the CHSH paradox: a
 handle state plus eight rank-one projector vectors whose orthogonality graph
@@ -33,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +62,6 @@ def _as_gaussian(entry) -> GaussianInt:
 
 def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
     """Exact square root of a non-negative rational, or None."""
-    if q < 0:
-        return None
     rn, rd = isqrt(q.numerator), isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
@@ -73,61 +70,30 @@ def _fraction_sqrt(q: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class StateVector:
-    """A unit vector, exact (integer entries over sqrt(den_sq)) or float.
-
-    Exact form: ``amplitude_k = (num[k].re + i num[k].im) / sqrt(den_sq)``.
+    """A vector of Gaussian integers over a common square-root normalizer:
+    ``amplitude_k = (num[k].re + i num[k].im) / sqrt(den_sq)``.  Entries
+    may be given as ints or (re, im) pairs.
     """
 
-    dim: int
-    num: Optional[tuple[GaussianInt, ...]] = None
-    den_sq: Optional[int] = None
-    floats: Optional[tuple[complex, ...]] = None
+    num: tuple[GaussianInt, ...]
+    den_sq: int
 
     def __post_init__(self):
-        if (self.num is None) == (self.floats is None):
-            raise ValueError("exactly one of num/floats must be given")
-        if self.num is not None:
-            if self.den_sq is None or self.den_sq <= 0:
-                raise ValueError("exact vectors need a positive den_sq")
-            if len(self.num) != self.dim:
-                raise ValueError("dimension mismatch")
-            object.__setattr__(self, "num", tuple(_as_gaussian(e) for e in self.num))
-        else:
-            if len(self.floats) != self.dim:
-                raise ValueError("dimension mismatch")
-            object.__setattr__(self, "floats", tuple(complex(z) for z in self.floats))
-
-    @classmethod
-    def exact(cls, entries: Sequence, den_sq: int) -> "StateVector":
-        return cls(dim=len(entries), num=tuple(_as_gaussian(e) for e in entries), den_sq=den_sq)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "StateVector":
-        return cls(dim=len(amplitudes), floats=tuple(complex(z) for z in amplitudes))
+        if self.den_sq <= 0:
+            raise ValueError("den_sq must be positive")
+        object.__setattr__(self, "num", tuple(_as_gaussian(e) for e in self.num))
 
     @property
-    def is_exact(self) -> bool:
-        return self.num is not None
+    def dim(self) -> int:
+        return len(self.num)
 
-    @property
-    def amplitudes(self) -> np.ndarray:
-        if self.is_exact:
-            root = math.sqrt(self.den_sq)
-            return np.array([complex(re, im) / root for re, im in self.num])
-        return np.array(self.floats)
-
-    def norm_sq(self) -> Union[Fraction, float]:
-        if self.is_exact:
-            return Fraction(sum(re * re + im * im for re, im in self.num), self.den_sq)
-        return float(sum(abs(z) ** 2 for z in self.floats))
-
-    def _check_dim(self, other: "StateVector"):
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+    def norm_sq(self) -> Fraction:
+        return Fraction(sum(re * re + im * im for re, im in self.num), self.den_sq)
 
     def inner_exact(self, other: "StateVector") -> tuple[GaussianInt, int]:
         """<self|other> as (Gaussian integer, d) meaning (re+i*im)/sqrt(d)."""
-        self._check_dim(other)
+        if self.dim != other.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         re_total = im_total = 0
         for (ar, ai), (br, bi) in zip(self.num, other.num):
             # conj(a) * b
@@ -137,26 +103,17 @@ class StateVector:
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other> as a complex float."""
-        self._check_dim(other)
-        if self.is_exact and other.is_exact:
-            (re, im), d = self.inner_exact(other)
-            return complex(re, im) / math.sqrt(d)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
+        (re, im), d = self.inner_exact(other)
+        return complex(re, im) / math.sqrt(d)
 
     def inner_is_zero(self, other: "StateVector") -> bool:
-        """<self|other> == 0, exactly for exact vectors, else within 1e-12."""
-        if self.is_exact and other.is_exact:
-            (re, im), _ = self.inner_exact(other)
-            return re == 0 and im == 0
-        return abs(self.inner(other)) <= 1e-12
+        """<self|other> == 0, tested on the Gaussian integer."""
+        return self.inner_exact(other)[0] == (0, 0)
 
-    def born(self, other: "StateVector") -> Union[Fraction, float]:
-        """|<self|other>|^2, exact when both vectors are exact."""
-        self._check_dim(other)
-        if self.is_exact and other.is_exact:
-            (re, im), d = self.inner_exact(other)
-            return Fraction(re * re + im * im, d)
-        return float(abs(self.inner(other)) ** 2)
+    def born(self, other: "StateVector") -> Fraction:
+        """|<self|other>|^2."""
+        (re, im), d = self.inner_exact(other)
+        return Fraction(re * re + im * im, d)
 
 
 @dataclass(frozen=True)
@@ -172,9 +129,6 @@ class SqrtFraction:
         if self.square < 0:
             raise ValueError("square must be non-negative")
         object.__setattr__(self, "square", Fraction(self.square))
-
-    def __float__(self) -> float:
-        return self.sign * math.sqrt(self.square)
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +164,12 @@ CHSH_VERTEX_EVENT_LABELS: dict[int, str] = {
 
 def construction_handle() -> StateVector:
     entries, den = _CONSTRUCTION_HANDLE
-    return StateVector.exact(entries, den)
+    return StateVector(entries, den)
 
 
 def construction_vectors() -> dict[int, StateVector]:
     return {
-        i: StateVector.exact(entries, den)
+        i: StateVector(entries, den)
         for i, (entries, den) in sorted(_CONSTRUCTION_VECTORS.items())
     }
 
@@ -244,7 +198,7 @@ class QuantumContextModel:
     """A graph, one unit vector per vertex, and a handle state.
 
     Construction validates the orthonormal-representation property: unit
-    norms and orthogonality across every edge (exactly, for exact vectors).
+    norms and orthogonality across every edge, exactly.
     """
 
     graph: ExclusivityGraph
@@ -275,7 +229,7 @@ def chsh_construction() -> QuantumContextModel:
     )
 
 
-def model_vertex_probabilities(model: QuantumContextModel) -> dict[int, Union[Fraction, float]]:
+def model_vertex_probabilities(model: QuantumContextModel) -> dict[int, Fraction]:
     """p(1|i) = |<v_i|psi>|^2 for every vertex of the model."""
     return {
         vid: vec.born(model.handle)
@@ -293,9 +247,8 @@ def contextual_behavior(model: QuantumContextModel) -> Behavior:
     scenario = contextual_chsh_scenario()
     probs = {}
     for vid, p in model_vertex_probabilities(model).items():
-        one = p if isinstance(p, Fraction) else float(p)
-        probs[atomic_event(f"A{vid}", 1)] = one
-        probs[atomic_event(f"A{vid}", 0)] = 1 - one
+        probs[atomic_event(f"A{vid}", 1)] = p
+        probs[atomic_event(f"A{vid}", 0)] = 1 - p
     return Behavior(scenario=scenario, probabilities=probs)
 
 
@@ -313,9 +266,7 @@ def construction_bell_behavior() -> Behavior:
     scenario = bell_222()
     mapping = chsh_vertex_event_mapping()
     vertex_probs = model_vertex_probabilities(chsh_construction())
-    probs: dict[Event, Fraction] = {
-        mapping[i]: Fraction(p) for i, p in vertex_probs.items()
-    }
+    probs: dict[Event, Fraction] = {mapping[i]: p for i, p in vertex_probs.items()}
     for zero in chsh_paradox_spec().zero_events:
         probs[zero] = Fraction(0)
     for ctx in scenario.contexts:
@@ -330,13 +281,14 @@ def construction_bell_behavior() -> Behavior:
 def verify_state_decomposition(
     model: QuantumContextModel,
     vertex_pair: tuple[int, int],
-    coefficients: tuple[Union[SqrtFraction, float, complex], ...],
+    coefficients: tuple[SqrtFraction, SqrtFraction],
 ) -> bool:
-    """Check  handle = c1 * v_i + c2 * v_j  for a vertex pair.
+    """Check  handle = c1 * v_i + c2 * v_j  exactly for a vertex pair.
 
-    With exact vectors and SqrtFraction coefficients the check is exact
-    whenever the rescaled weights are rational (true for all the shipped
-    decompositions); otherwise it falls back to floats at 1e-12.
+    Times sqrt(den_psi), the identity reads  psi.num = r1 * v_i.num +
+    r2 * v_j.num  with rescaled weights  r = c * sqrt(den_psi / den_v).  With
+    Gaussian-integer entries and unit v_i, v_j it can hold only when both
+    weights are rational, so an irrational one fails the check.
     """
     i, j = vertex_pair
     if i not in model.vertex_vectors or j not in model.vertex_vectors:
@@ -344,26 +296,15 @@ def verify_state_decomposition(
     c1, c2 = coefficients
     psi = model.handle
     vi, vj = model.vertex_vectors[i], model.vertex_vectors[j]
-
-    if (
-        psi.is_exact
-        and vi.is_exact
-        and vj.is_exact
-        and isinstance(c1, SqrtFraction)
-        and isinstance(c2, SqrtFraction)
-    ):
-        s1 = _fraction_sqrt(c1.square * psi.den_sq / Fraction(vi.den_sq))
-        s2 = _fraction_sqrt(c2.square * psi.den_sq / Fraction(vj.den_sq))
-        if s1 is not None and s2 is not None:
-            s1, s2 = c1.sign * s1, c2.sign * s2
-            for (pr, pi_), (ar, ai), (br, bi) in zip(psi.num, vi.num, vj.num):
-                if Fraction(pr) != s1 * ar + s2 * br or Fraction(pi_) != s1 * ai + s2 * bi:
-                    return False
-            return True
-
-    target = psi.amplitudes
-    approx = complex(c1) * vi.amplitudes + complex(c2) * vj.amplitudes
-    return bool(np.max(np.abs(target - approx)) <= 1e-12)
+    s1 = _fraction_sqrt(c1.square * psi.den_sq / Fraction(vi.den_sq))
+    s2 = _fraction_sqrt(c2.square * psi.den_sq / Fraction(vj.den_sq))
+    if s1 is None or s2 is None:
+        return False
+    s1, s2 = c1.sign * s1, c2.sign * s2
+    return all(
+        pr == s1 * ar + s2 * br and pi_ == s1 * ai + s2 * bi
+        for (pr, pi_), (ar, ai), (br, bi) in zip(psi.num, vi.num, vj.num)
+    )
 
 
 def ep_cover_check(events: Iterable[Event], scenario: Scenario) -> bool:
@@ -471,14 +412,15 @@ class BellLocalModel:
         pb_, pc_, pd_ = (p % (2 * math.pi) for p in ph)
         return cls(a, b, c, d, pb_, pc_, pd_, ta, pa, tb, pb)
 
-    def state_vector(self) -> StateVector:
-        return StateVector.from_amplitudes(
-            (
+    def state(self) -> np.ndarray:
+        """The amplitudes of |00>, |01>, |10>, |11> as a complex array."""
+        return np.array(
+            [
                 self.a,
                 self.b * cmath.exp(1j * self.phi_b),
                 self.c * cmath.exp(1j * self.phi_c),
                 self.d * cmath.exp(1j * self.phi_d),
-            )
+            ]
         )
 
     def to_json(self) -> dict:
@@ -552,7 +494,7 @@ def bell_event_probabilities(model: BellLocalModel, events: Sequence[Event]) -> 
     rows = _bell_ket_indices(events)
     u = _setting_kets(model.theta_a1, model.phi_a1)[0, rows[:, 0]]
     v = _setting_kets(model.theta_b1, model.phi_b1)[0, rows[:, 1]]
-    psi = model.state_vector().amplitudes.reshape(2, 2).conj()
+    psi = model.state().reshape(2, 2).conj()
     amplitudes = np.einsum("ei,ij,ej->e", u, psi, v)
     return [float(p) for p in np.abs(amplitudes) ** 2]
 

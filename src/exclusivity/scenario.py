@@ -289,12 +289,6 @@ class ExclusivityGraph:
         except KeyError:
             raise UnknownVertexError(vid) from None
 
-    def vertex_by_event(self, event: Event) -> GraphVertex:
-        for v in self.vertices:
-            if v.event == event:
-                return v
-        raise KeyError(f"no vertex carries event {event}")
-
     def adjacency(self) -> dict[int, frozenset[int]]:
         adj: dict[int, set[int]] = {v.id: set() for v in self.vertices}
         for i, j in self.edges:

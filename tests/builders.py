@@ -4,8 +4,19 @@ no ``test_`` prefix, so pytest imports it from the test modules but does not
 collect it.
 """
 
+import math
+
+import numpy as np
+
 from exclusivity.classical import Behavior, DeterministicStrategy
-from exclusivity.scenario import ExclusivityGraph, GraphVertex, Scenario, enumerate_events
+from exclusivity.quantum import StateVector
+from exclusivity.scenario import (
+    Event,
+    ExclusivityGraph,
+    GraphVertex,
+    Scenario,
+    enumerate_events,
+)
 
 
 def complete_graph(n: int) -> ExclusivityGraph:
@@ -17,6 +28,28 @@ def complete_graph(n: int) -> ExclusivityGraph:
 
 def edgeless_graph(n: int) -> ExclusivityGraph:
     return ExclusivityGraph(vertices=tuple(GraphVertex(id=i) for i in range(n)), edges=())
+
+
+def vertex_by_event(graph: ExclusivityGraph, event: Event) -> GraphVertex:
+    for v in graph.vertices:
+        if v.event == event:
+            return v
+    raise KeyError(f"no vertex carries event {event}")
+
+
+def amplitudes(vec: StateVector) -> np.ndarray:
+    """The exact vector's amplitudes as complex floats."""
+    return np.array([complex(re, im) for re, im in vec.num]) / math.sqrt(vec.den_sq)
+
+
+def random_gaussian_vector(rng: np.random.Generator, dim: int) -> StateVector:
+    """A random exact unit vector: Gaussian-integer entries in [-9, 9] over
+    den_sq = sum |n_k|^2."""
+    while True:
+        num = [tuple(int(x) for x in rng.integers(-9, 10, 2)) for _ in range(dim)]
+        den_sq = sum(re * re + im * im for re, im in num)
+        if den_sq:
+            return StateVector(num, den_sq)
 
 
 def behavior_from_strategy(strategy: DeterministicStrategy, scenario: Scenario) -> Behavior:

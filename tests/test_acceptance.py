@@ -15,6 +15,7 @@ from exclusivity import classical, graphs, inequalities, optimize, paradox, quan
 from exclusivity.optimize import Classification, OptimizerConfig
 from exclusivity.quantum import SqrtFraction
 from exclusivity.scenario import bell_222, bell_event
+from builders import amplitudes
 
 HARDY_MAX = (5 * math.sqrt(5) - 11) / 2
 
@@ -63,9 +64,9 @@ def test_criterion_1_exact_construction():
         assert quantum.verify_state_decomposition(model, (6, 7), (third, two_thirds))
 
         # float path of the same checks stays within 1e-12
-        amp_handle = model.handle.amplitudes
+        amp_handle = amplitudes(model.handle)
         for i, vec in model.vertex_vectors.items():
-            p_float = abs(np.vdot(vec.amplitudes, amp_handle)) ** 2
+            p_float = abs(np.vdot(amplitudes(vec), amp_handle)) ** 2
             assert abs(p_float - float(probs[i])) <= 1e-12
 
 

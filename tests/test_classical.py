@@ -16,7 +16,7 @@ from exclusivity.classical import (
     enumerate_deterministic,
 )
 from exclusivity.scenario import Measurement, Scenario, bell_event, chsh_events, hardy_pentagon_events
-from builders import behavior_from_strategy
+from builders import behavior_from_strategy, vertex_by_event
 from oracles import classical_max
 
 
@@ -100,7 +100,7 @@ class TestClassicalMax:
             subset = [events[i] for i in rng.choice(16, size=k, replace=False)]
             value, _ = classical_max(subset, bell222)
             sub = scenario.subgraph(
-                graph222, [graph222.vertex_by_event(e).id for e in subset]
+                graph222, [vertex_by_event(graph222, e).id for e in subset]
             )
             alpha, _ = graphs.independence_number(sub)
             assert value == alpha
@@ -218,6 +218,14 @@ class TestBehaviorValidation:
         message = info.value.args[0]
         assert f"misses {kept.count(False)} of the {len(events)} events" in message
         assert message.endswith(f"the first {first}")
+
+    def test_event_in_no_context_rejected(self):
+        # the atomic event (0|A0) is in no 2-2-2 context: the contexts carry
+        # its probability as a marginal (1/3 here), which a 0.9 would contradict
+        probs = dict(quantum.construction_bell_behavior().probabilities)
+        probs[scenario.atomic_event("A0", 0)] = 0.9
+        with pytest.raises(ValueError, match=r"event \(0\|0\) of \('A0',\) is in no context"):
+            Behavior(scenario=scenario.bell_222(), probabilities=probs)
 
     def test_probability_lookup_error(self, bell222):
         behavior = behavior_from_strategy(

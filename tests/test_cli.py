@@ -220,6 +220,17 @@ class TestVerifyCommand:
         assert f"misses {num_outcomes - 1} of the {num_outcomes} events" in err
         assert "the first (1|M)" in err
 
+    @pytest.mark.parametrize(
+        "command", [["verify", "{}", "chsh"], ["inequality", "chsh", "--behavior", "{}"]]
+    )
+    def test_event_in_no_context_is_an_input_error(self, tmp_path, capsys, command):
+        data = classical.behavior_to_json(quantum.construction_bell_behavior())
+        data["probabilities"].append([[["A0", 0]], 0.9])
+        path = tmp_path / "behavior.json"
+        path.write_text(json.dumps(data))
+        assert main([arg.format(path) for arg in command]) == 2
+        assert "is in no context" in capsys.readouterr().err
+
     def test_unknown_spec(self, tmp_path):
         assert main(["verify", "construction", "nope"]) == 2
 

@@ -20,7 +20,13 @@ from exclusivity.graphs import (
     verify_orthonormal_representation,
 )
 from exclusivity.scenario import ExclusivityGraph, GraphVertex, bell_event
-from builders import assert_isomorphism, complete_graph, edgeless_graph
+from builders import (
+    assert_isomorphism,
+    complete_graph,
+    edgeless_graph,
+    random_gaussian_vector,
+    vertex_by_event,
+)
 
 SQRT5 = math.sqrt(5)
 
@@ -162,7 +168,7 @@ class TestLovaszTheta:
             + tuple((i, i + 4) for i in range(4)),
         )
         labels = ("01|00", "10|01", "11|11", "01|10", "10|00", "01|01", "00|11", "10|10")
-        mapping = {i: chsh_graph.vertex_by_event(bell_event(s)).id for i, s in enumerate(labels)}
+        mapping = {i: vertex_by_event(chsh_graph, bell_event(s)).id for i, s in enumerate(labels)}
         assert_isomorphism(circulant, chsh_graph, mapping)
 
         target = 2 + math.sqrt(2)
@@ -869,7 +875,7 @@ class TestOrthonormalRepresentation:
 
     def test_standard_basis_on_edgeless(self):
         vectors = {
-            i: quantum.StateVector.exact([1 if k == i else 0 for k in range(3)], 1)
+            i: quantum.StateVector([1 if k == i else 0 for k in range(3)], 1)
             for i in range(3)
         }
         rep = OrthonormalRepresentation(vectors=vectors)
@@ -882,29 +888,12 @@ class TestOrthonormalRepresentation:
         with pytest.raises(ValueError):
             verify_orthonormal_representation(construction.graph, rep)
 
-    def test_non_unit_float_vector_reported(self):
-        vectors = {0: quantum.StateVector.from_amplitudes([0.9, 0.1])}
+    def test_non_unit_vector_reported(self):
+        vectors = {0: quantum.StateVector([1, 1], 1)}
         rep = OrthonormalRepresentation(vectors=vectors)
         report = verify_orthonormal_representation(edgeless_graph(1), rep)
+        assert report.unit_violations == ((0, 1.0),)
         assert not report.valid
-
-
-def umbrella_representation():
-    """Real Lovasz umbrella for the pentagon: exact optimum sqrt(5)."""
-    cos_sq = 1 / SQRT5
-    vectors = {}
-    for k in range(5):
-        phi = 4 * math.pi * k / 5
-        sin_theta = math.sqrt(1 - cos_sq)
-        vectors[k] = quantum.StateVector.from_amplitudes(
-            [
-                sin_theta * math.cos(phi),
-                sin_theta * math.sin(phi),
-                math.sqrt(cos_sq),
-            ]
-        )
-    handle = quantum.StateVector.from_amplitudes([0.0, 0.0, 1.0])
-    return OrthonormalRepresentation(vectors=vectors, handle=handle)
 
 
 class TestThetaLowerBound:
@@ -915,32 +904,46 @@ class TestThetaLowerBound:
     def test_orthogonal_handle_gives_zero(self, construction):
         rep = OrthonormalRepresentation(
             vectors=construction.vertex_vectors,
-            handle=quantum.StateVector.exact([0, 0, 1, -2], 5),
+            handle=quantum.StateVector([0, 0, 1, -2], 5),
         )
         # handle not orthogonal to all: use a vector orthogonal to all 8?
         # none exists here, so check the trivial case on an edgeless graph
-        basis = {0: quantum.StateVector.exact([1, 0], 1)}
+        basis = {0: quantum.StateVector([1, 0], 1)}
         rep0 = OrthonormalRepresentation(
-            vectors=basis, handle=quantum.StateVector.exact([0, 1], 1)
+            vectors=basis, handle=quantum.StateVector([0, 1], 1)
         )
         assert theta_lower_bound(edgeless_graph(1), rep0) == 0
 
     def test_handle_equal_to_vector(self):
         basis = {
-            0: quantum.StateVector.exact([1, 0], 1),
-            1: quantum.StateVector.exact([1, 1], 2),
+            0: quantum.StateVector([1, 0], 1),
+            1: quantum.StateVector([1, 1], 2),
         }
         rep = OrthonormalRepresentation(
-            vectors=basis, handle=quantum.StateVector.exact([1, 0], 1)
+            vectors=basis, handle=quantum.StateVector([1, 0], 1)
         )
         assert theta_lower_bound(edgeless_graph(2), rep) >= 1
 
     def test_umbrella_hits_theta_of_pentagon(self):
-        rep = umbrella_representation()
-        value = theta_lower_bound(cycle_graph(5), rep)
+        # the real Lovasz umbrella has irrational entries, so it is checked
+        # in floats: unit vectors, orthogonal across the pentagon's edges,
+        # with sum_k |<v_k|psi>|^2 = sqrt(5) = theta(C5)
+        g = cycle_graph(5)
+        cos_sq = 1 / SQRT5
+        phi = 4 * math.pi * np.arange(5) / 5
+        vectors = np.column_stack(
+            [
+                math.sqrt(1 - cos_sq) * np.cos(phi),
+                math.sqrt(1 - cos_sq) * np.sin(phi),
+                np.full(5, math.sqrt(cos_sq)),
+            ]
+        )
+        handle = np.array([0.0, 0.0, 1.0])
+        assert np.max(np.abs(np.linalg.norm(vectors, axis=1) - 1)) < 1e-12
+        assert max(abs(vectors[i] @ vectors[j]) for i, j in g.edges) < 1e-12
+        value = float(np.sum((vectors @ handle) ** 2))
         assert abs(value - SQRT5) < 1e-12
-        report = verify_orthonormal_representation(cycle_graph(5), rep)
-        assert report.valid
+        assert abs(value - lovasz_theta(g).value) <= 1e-7
 
     def test_no_handle_error(self, construction):
         rep = OrthonormalRepresentation(vectors=construction.vertex_vectors)
@@ -960,13 +963,9 @@ class TestThetaLowerBound:
                 taken = {colors[u] for u in adj[v] if u in colors}
                 colors[v] = min(c for c in range(n) if c not in taken)
             dim = max(colors.values()) + 1
-            raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            raw /= np.linalg.norm(raw)
-            handle = quantum.StateVector.from_amplitudes(raw)
+            handle = random_gaussian_vector(rng, dim)
             vectors = {
-                v: quantum.StateVector.from_amplitudes(
-                    [1.0 if k == colors[v] else 0.0 for k in range(dim)]
-                )
+                v: quantum.StateVector([int(k == colors[v]) for k in range(dim)], 1)
                 for v in g.vertex_ids()
             }
             rep = OrthonormalRepresentation(vectors=vectors, handle=handle)

@@ -18,7 +18,7 @@ from exclusivity.inequalities import (
     tsirelson_model,
 )
 from exclusivity.scenario import chsh_events
-from builders import behavior_from_strategy
+from builders import behavior_from_strategy, random_gaussian_vector
 from oracles import classical_max
 
 SQRT2 = math.sqrt(2)
@@ -139,9 +139,7 @@ class TestCorrelatorInequality:
         lower = 12 - 6 * (theta.value + theta.duality_gap)
         rng = np.random.default_rng(42)
         for _ in range(25):
-            raw = rng.normal(size=4) + 1j * rng.normal(size=4)
-            raw /= np.linalg.norm(raw)
-            handle = quantum.StateVector.from_amplitudes(raw)
+            handle = random_gaussian_vector(rng, 4)
             probs = {
                 v: handle.born(vec) for v, vec in construction.vertex_vectors.items()
             }

@@ -14,7 +14,7 @@ from exclusivity.paradox import (
     verify,
 )
 from exclusivity.scenario import bell_222, bell_event
-from builders import behavior_from_strategy
+from builders import behavior_from_strategy, vertex_by_event
 
 
 def bell_events(*labels):
@@ -42,7 +42,7 @@ class TestHardySpec:
         retained = set(spec.positive_events)
         for sat in spec.saturation_sets:
             retained |= set(sat)
-        ids = [graph222.vertex_by_event(e).id for e in retained]
+        ids = [vertex_by_event(graph222, e).id for e in retained]
         sub = scenario.subgraph(graph222, ids)
         holes = graphs.find_odd_holes(sub, 5)
         assert len(holes) == 1 and set(holes[0]) == set(ids)

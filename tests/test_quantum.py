@@ -27,6 +27,7 @@ from exclusivity.quantum import (
     model_vertex_probabilities,
 )
 from exclusivity.scenario import are_exclusive, bell_222, bell_event, enumerate_events
+from builders import amplitudes, random_gaussian_vector
 from oracles import bell_event_indices, bell_probabilities, ep_cover_by_enumeration, outcome_kets
 
 
@@ -39,10 +40,15 @@ def party_kets(model, party):
 
 def measurement_direction_marginal(model, party, setting, outcome):
     """Direct single-party marginal, bypassing the joint distribution."""
-    psi = np.array(model.state_vector().floats).reshape(2, 2)
+    psi = model.state().reshape(2, 2)
     ket = np.array(party_kets(model, party)[(outcome, setting)]).conjugate()
     collapsed = ket @ psi if party == "A" else psi @ ket
     return float(np.sum(np.abs(collapsed) ** 2))
+
+
+gaussian_vectors = st.integers(0, 2**32 - 1).map(
+    lambda seed: random_gaussian_vector(np.random.default_rng(seed), 3)
+)
 
 
 def bell_events(*labels):
@@ -77,32 +83,36 @@ class TestStateVector:
         assert vecs[5].born(psi) == Fraction(2, 3)
 
     def test_born_orthogonal_and_self(self):
-        e0 = StateVector.exact([1, 0], 1)
-        e1 = StateVector.exact([0, 1], 1)
+        e0 = StateVector([1, 0], 1)
+        e1 = StateVector([0, 1], 1)
         assert e1.born(e0) == 0
         assert e0.born(e0) == 1
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            StateVector.exact([1, 0, 0], 1).born(StateVector.exact([1, 0], 1))
+            StateVector([1, 0, 0], 1).born(StateVector([1, 0], 1))
 
     def test_complex_exact_inner(self):
-        v = StateVector.exact([(1, 1), (0, 0)], 2)
+        v = StateVector([(1, 1), (0, 0)], 2)
         assert v.norm_sq() == 1
-        w = StateVector.exact([(0, 0), (1, -1)], 2)
+        w = StateVector([(0, 0), (1, -1)], 2)
         assert v.inner_is_zero(w)
         assert w.born(v) == 0
 
-    def test_float_track(self):
-        v = StateVector.from_amplitudes([1 / math.sqrt(2), 1j / math.sqrt(2)])
-        assert v.norm_sq() == pytest.approx(1.0)
-        assert not v.is_exact
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            StateVector(dim=2, num=((1, 0), (0, 0)), den_sq=1, floats=(1.0, 0.0))
-        with pytest.raises(ValueError):
-            StateVector.exact([1, 0], 0)
+            StateVector([1, 0], 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(gaussian_vectors, gaussian_vectors)
+    def test_exact_arithmetic_matches_numpy(self, u, v):
+        a, b = amplitudes(u), amplitudes(v)
+        assert isinstance(u.born(v), Fraction) and isinstance(u.norm_sq(), Fraction)
+        assert abs(u.inner(v) - np.vdot(a, b)) <= 1e-12
+        assert abs(float(u.born(v)) - abs(np.vdot(a, b)) ** 2) <= 1e-12
+        assert abs(float(u.norm_sq()) - np.vdot(a, a).real) <= 1e-12
+        # a nonzero Gaussian-integer inner product is at least 1/sqrt(d) in size
+        assert u.inner_is_zero(v) == (abs(np.vdot(a, b)) <= 1e-12)
 
 
 class TestConstruction:
@@ -169,27 +179,22 @@ class TestConstruction:
             construction, (2, 3), (SqrtFraction(Fraction(1)), SqrtFraction(Fraction(0)))
         )
 
-    def test_decomposition_float_path(self, construction):
+    def test_decomposition_with_irrational_weight_fails(self, construction):
         from exclusivity.quantum import verify_state_decomposition
 
-        floats = QuantumContextModel(
-            graph=construction.graph,
-            vertex_vectors={
-                i: StateVector.from_amplitudes(v.amplitudes)
-                for i, v in construction.vertex_vectors.items()
-            },
-            handle=StateVector.from_amplitudes(construction.handle.amplitudes),
-        )
-        assert verify_state_decomposition(
-            floats, (2, 3), (1 / math.sqrt(2), 1 / math.sqrt(2))
-        )
-        assert not verify_state_decomposition(floats, (2, 3), (1.0, 0.0))
+        # psi = (1,1,0,0)/sqrt(2) and v2 = (1,0,0,0): the weight sqrt(1/3)
+        # rescales to sqrt(1/3 * 2/1), irrational
+        third = SqrtFraction(Fraction(1, 3))
+        two_thirds = SqrtFraction(Fraction(2, 3))
+        assert not verify_state_decomposition(construction, (2, 3), (third, two_thirds))
 
     def test_unknown_vertex_pair(self, construction):
         from exclusivity.quantum import verify_state_decomposition
 
         with pytest.raises(ValueError):
-            verify_state_decomposition(construction, (2, 9), (1.0, 0.0))
+            verify_state_decomposition(
+                construction, (2, 9), (SqrtFraction(Fraction(1)), SqrtFraction(Fraction(0)))
+            )
 
     def test_invalid_representation_rejected(self, construction):
         bad = dict(construction.vertex_vectors)
@@ -338,7 +343,7 @@ class TestBellLocalBehavior:
     def test_probabilities_match_oracle(self, model):
         events = enumerate_events(bell_222())
         expected = bell_probabilities(
-            model.state_vector().floats,
+            model.state(),
             model.theta_a1, model.phi_a1, model.theta_b1, model.phi_b1,
             events,
         )
@@ -371,7 +376,7 @@ class TestBellLocalBehavior:
                 raw[3] / norm * cmath.exp(0.6j),
             ]
         )
-        folded = model.state_vector().amplitudes
+        folded = model.state()
         # same state up to a global phase (here a global sign)
         assert np.allclose(folded, -direct, atol=1e-12)
 

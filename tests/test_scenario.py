@@ -27,7 +27,7 @@ from exclusivity.scenario import (
     scenario_to_json,
     subgraph,
 )
-from builders import assert_isomorphism
+from builders import assert_isomorphism, vertex_by_event
 from oracles import bell_event_indices
 
 
@@ -150,7 +150,7 @@ class TestGraphBuild:
 
     def test_context_events_form_cliques(self, bell222, graph222):
         for ctx in bell222.contexts:
-            ids = [graph222.vertex_by_event(e).id for e in bell222.context_events(ctx)]
+            ids = [vertex_by_event(graph222, e).id for e in bell222.context_events(ctx)]
             for a in range(len(ids)):
                 for b in range(a + 1, len(ids)):
                     assert graph222.has_edge(ids[a], ids[b])
@@ -167,14 +167,14 @@ class TestGraphBuild:
         mapping = {}
         for v in graph222.vertices:
             a, b, x, y = bell_event_indices(v.event)
-            mapping[v.id] = g2.vertex_by_event(bell_event(f"{b}{a}|{y}{x}")).id
+            mapping[v.id] = vertex_by_event(g2, bell_event(f"{b}{a}|{y}{x}")).id
         assert_isomorphism(graph222, g2, mapping)
 
 
 class TestSubgraph:
     def test_pentagon_cycle_order(self, graph222):
         labels = ["10|01", "01|11", "10|11", "01|10", "00|00"]
-        ids = {s: graph222.vertex_by_event(bell_event(s)).id for s in labels}
+        ids = {s: vertex_by_event(graph222, bell_event(s)).id for s in labels}
         pent = subgraph(graph222, ids.values())
         assert pent.n == 5 and len(pent.edges) == 5
         cycle = ["10|01", "01|11", "10|11", "01|10", "00|00", "10|01"]
@@ -201,7 +201,7 @@ class TestChshEventGraph:
         assert chsh_graph.is_regular(3)
 
     def test_01_00_adjacency(self, chsh_graph):
-        v = chsh_graph.vertex_by_event(bell_event("01|00")).id
+        v = vertex_by_event(chsh_graph, bell_event("01|00")).id
         neighbours = {str(chsh_graph.vertex(u).event) for u in chsh_graph.adjacency()[v]}
         assert neighbours == {"(10|00)", "(10|01)", "(10|10)"}
 
