@@ -225,12 +225,14 @@ def _optimize_summary(payload: dict) -> list[str]:
     ]
     if payload.get("classification"):
         lines.append(f"  classification: {payload['classification']}")
-    statuses = [
-        stage["status"] for restart in payload.get("restarts", ()) for stage in restart["stages"]
-    ]
+    restarts = payload.get("restarts", ())
+    statuses = [stage["status"] for restart in restarts for stage in restart["stages"]]
     stopped = sum(status != 0 for status in statuses)
     if stopped:
         lines.append(f"  {stopped} of {len(statuses)} stages stopped with nonzero status")
+    capped = sum(restart["polish_status"] == 0 for restart in restarts)
+    if capped:
+        lines.append(f"  {capped} of {len(restarts)} polishes stopped at the evaluation cap")
     return lines
 
 

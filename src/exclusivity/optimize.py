@@ -6,26 +6,22 @@ that must hit 1), handled by quadratic penalties on the fixed geometric
 schedule ``PENALTY_SCHEDULE``.  Every task supplies its objective, its
 residuals and their closed-form Jacobians, so each penalty stage is a
 limited-memory quasi-Newton run (scipy's compiled L-BFGS-B, no bounds) on
-the analytic gradient of ``-value + mu * |residuals|^2``.  A
-feasibility polish always follows: a Gauss-Newton least-squares solve
-(``scipy.optimize.least_squares`` with the analytic Jacobian) that drives
-the residuals to zero.  The polish step matters: near impossibility
-boundaries the penalized iterates ride ridges where the objective scales
-like the square root of the residual, so values at loose feasibility (1e-8)
-can overstate the true feasible supremum by orders of magnitude.  Driving
-the residuals to ~1e-16 first and only then reading off the objective
-removes that bias.
+the analytic gradient of ``-value + mu * |residuals|^2``.  A feasibility
+polish always follows: Levenberg-Marquardt steps on the analytic Jacobian
+(``_polish``) that drive the residuals to zero.  The polish matters: near
+impossibility boundaries the penalized iterates ride ridges where the
+objective scales like the square root of the residual, so values at loose
+feasibility (1e-8) can overstate the true feasible supremum by orders of
+magnitude.  Driving the residuals towards 1e-16 first and only then
+reading off the objective removes that bias.
 
-A system with fewer residuals than parameters (Hardy 6 x 8, free and
-constrained KCBS 5 x 10 and 7 x 10) is polished over the row space of its
-Jacobian at the point the stages hand over: x = x0 + B z, with B an
-orthonormal basis of that space from the SVD and z0 = 0.  scipy's ``trf``
-tries a full Gauss-Newton step only when there are at least as many
-residuals as parameters.  With fewer, every step is a Levenberg step on
-the trust-region boundary, whose radius starts at |x0| and then halves, so
-the polish would take 30-50 evaluations where Gauss-Newton takes a few.  In
-z the system is square and the first radius is 1.  A system with at least
-as many residuals as parameters (CHSH-local 8 x 8) is polished on x itself.
+The polish damps each step by |r|^2 (Yamashita and Fukushima, Computing
+Suppl. 15, 2001), which needs no damping schedule and no trust region and
+takes near-minimum-norm steps on systems with fewer residuals than
+parameters (Hardy 6 x 8, free and constrained KCBS 5 x 10 and 7 x 10).  At
+the CHSH-local optima the 8 x 8 Jacobian falls to rank 3, and |r| falls
+only about fourfold a step.  Constrained KCBS falls to rank 5, and some of
+its restarts stop with residuals near 1e-12, far inside ``FEASIBILITY_TOL``.
 
 A task may polish on a different residual system with the same zero set.
 The two-qubit tasks polish the zero events' amplitudes (real and imaginary
@@ -44,11 +40,10 @@ order.  Ties prefer the lowest restart index.
 ``scipy.optimize`` loads on the first optimizer call, not with this
 module: the graph invariants, the exact checks and every CLI command but
 ``optimize`` and ``tables`` import this module and never optimize, and the
-import costs about half a second and 40 MB.  ``minimize`` and
-``least_squares`` stay attributes of this module, resolved by the module
-``__getattr__`` on first access, and ``_multistart`` looks both up on the
-module at call time, so a wrapper set on either (by a tracer or a test)
-is the one that runs.
+import costs about half a second and 40 MB.  ``minimize`` stays an
+attribute of this module, resolved by the module ``__getattr__`` on first
+access, and ``_multistart`` looks it up on the module at call time, so a
+wrapper set on it (by a tracer or a test) is the one that runs.
 
 Two-qubit tasks optimize over a gauge-fixed parameterization: state
 hyperspherical magnitudes (chi1, chi2, chi3) and the |11> phase, plus Bloch
@@ -77,15 +72,17 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .quantum import BellLocalModel, _bell_ket_indices, _setting_kets, bell_event_probabilities
+from .quantum import (_MINUS, _MINUS_I, _ZERO, BellLocalModel, _angle_factors, _angle_positions,
+                      _bell_ket_indices, _factor_index, _ket_factors, bell_event_probabilities)
 from .scenario import Event, bell_event
 
 TAU = 2 * math.pi
 
 
 def __getattr__(name: str):
-    """Load scipy's ``minimize`` and ``least_squares`` on first access (see
-    the module docstring), keeping any wrapper already set on either."""
+    """Load scipy's ``minimize`` on first access (see the module docstring),
+    keeping any wrapper already set on it."""
+    # least_squares: read only by the bench's tracer; ROADMAP item 1 removes it
     if name not in ("minimize", "least_squares"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     import scipy.optimize
@@ -97,9 +94,9 @@ def __getattr__(name: str):
 
 
 # Hard caps that keep every local search finite: L-BFGS-B iterations per
-# penalty stage, and residual evaluations of the least-squares feasibility
-# polish.  Both sit well above what the builtin tasks use (a few hundred
-# iterations, a few dozen evaluations).
+# penalty stage, and residual evaluations of the feasibility polish.  Both
+# sit well above what the builtin tasks use (a few hundred iterations, a few
+# dozen evaluations).
 STAGE_MAX_ITERATIONS = 1000
 POLISH_MAX_EVALUATIONS = 200
 # Penalty weights mu of the successive L-BFGS-B stages, and the largest
@@ -158,8 +155,9 @@ class RestartSummary:
     stage_iterations: tuple[int, ...]
     stage_evaluations: tuple[int, ...]
     stage_statuses: tuple[int, ...]
-    # evaluations and status of the feasibility polish (scipy's
-    # least_squares ``nfev`` and ``status``; status 0 is the evaluation cap)
+    # evaluations and stop status of the feasibility polish (``_polish``:
+    # 0 the evaluation cap, 1 zero residuals, 2 a step that did not lower
+    # them, 3 a step below 1e-15 relative to the point)
     polish_evaluations: int
     polish_status: int
 
@@ -212,6 +210,42 @@ class OptimizationResult:
 Evaluation = tuple[float, np.ndarray, np.ndarray, np.ndarray]
 
 
+def _polish(
+    system: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> tuple[np.ndarray, int, int]:
+    """Drive ``system(x)`` = (residuals r, Jacobian J) towards zero from
+    ``x`` by Levenberg-Marquardt steps with damping |r|^2; return the last
+    accepted point, the number of ``system`` calls and the stop status.
+
+    Each step s solves [J; |r| I] s = [-r; 0] in the least-squares sense,
+    which stays defined when J loses rank.  A step counts only if it lowers
+    |r|^2.  Status 0: the ``POLISH_MAX_EVALUATIONS`` cap; 1: r = 0
+    exactly; 2: a step that does not lower |r|^2; 3: a step below 1e-15
+    relative to x.
+    """
+    residuals, jacobian = system(x)
+    cost = float(residuals @ residuals)
+    evaluations = 1
+    identity, padding = np.eye(x.size), np.zeros(x.size)
+    while cost > 0.0:
+        if evaluations >= POLISH_MAX_EVALUATIONS:
+            return x, evaluations, 0
+        step = np.linalg.lstsq(
+            np.vstack([jacobian, math.sqrt(cost) * identity]),
+            np.concatenate([-residuals, padding]),
+        )[0]
+        if np.linalg.norm(step) <= 1e-15 * np.linalg.norm(x):
+            return x, evaluations, 3
+        trial = x + step
+        trial_residuals, trial_jacobian = system(trial)
+        evaluations += 1
+        trial_cost = float(trial_residuals @ trial_residuals)
+        if not trial_cost < cost:
+            return x, evaluations, 2
+        x, residuals, jacobian, cost = trial, trial_residuals, trial_jacobian, trial_cost
+    return x, evaluations, 1
+
+
 def _multistart(
     task: str,
     sample_start: Callable[[np.random.Generator], np.ndarray],
@@ -229,28 +263,14 @@ def _multistart(
     the task's own residuals.  ``describe`` renders the winning parameters
     for the result payload.
 
-    Each stage is one ``minimize`` call and the polish one ``least_squares``
-    call per restart, over the row space of the start Jacobian when the
-    polish system has fewer residuals than parameters (see the module
-    docstring); their counts and statuses go into the restart's summary.
-    Both solvers are looked up on the module at each call (see
-    ``__getattr__``).
+    Each stage is one ``minimize`` call, looked up on the module at each
+    call (see ``__getattr__``), and the polish one ``_polish`` run per
+    restart; their counts and statuses go into the restart's summary.
     """
     module = sys.modules[__name__]
     if polish_system is None:
         def polish_system(xx):
             return evaluate(xx)[2:]
-
-    # least_squares first asks for the residuals at the start, whose
-    # Jacobian has just given the row space, and later for the Jacobian at
-    # the point whose residuals it has just accepted: hand back the ones
-    # already computed there
-    last: list = [None, None, None]
-
-    def polish_at(xx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if last[0] is None or not np.array_equal(xx, last[0]):
-            last[:] = xx.copy(), *polish_system(xx)
-        return last[1], last[2]
 
     summaries: list[RestartSummary] = []
     best_key = None
@@ -276,31 +296,7 @@ def _multistart(
             )
             x = stage.x
             stages.append((evaluate(x)[0], int(stage.nit), int(stage.nfev), int(stage.status)))
-        # fewer residuals than parameters: polish over the row space of the
-        # start Jacobian, x = x0 + B z with B orthonormal (n x m) and z0 = 0
-        # (see the module docstring)
-        start_jacobian = polish_at(x)[1]
-        m, n = start_jacobian.shape
-        origin = x
-        basis = np.linalg.svd(start_jacobian, full_matrices=False)[2].T if m < n else None
-
-        def chart(z: np.ndarray) -> np.ndarray:
-            return z if basis is None else origin + basis @ z
-
-        def polish_jacobian(z: np.ndarray) -> np.ndarray:
-            jacobian = polish_at(chart(z))[1]
-            return jacobian if basis is None else jacobian @ basis
-
-        # tolerances at the floating-point floor: the polish runs until the
-        # residuals stop shrinking, not until scipy's 1e-8 defaults
-        polish = module.least_squares(
-            lambda z: polish_at(chart(z))[0],
-            x if basis is None else np.zeros(m),
-            jac=polish_jacobian,
-            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            max_nfev=POLISH_MAX_EVALUATIONS,
-        )
-        x = chart(polish.x)
+        x, polish_evaluations, polish_status = _polish(polish_system, x)
         value, _, residuals, _ = evaluate(x)
         max_residual = float(np.max(np.abs(residuals))) if residuals.size else 0.0
         feasible = max_residual <= FEASIBILITY_TOL
@@ -317,8 +313,8 @@ def _multistart(
                 stage_iterations=iterations,
                 stage_evaluations=evaluations,
                 stage_statuses=statuses,
-                polish_evaluations=int(polish.nfev),
-                polish_status=int(polish.status),
+                polish_evaluations=polish_evaluations,
+                polish_status=polish_status,
             )
         )
         key = (feasible, value, -index)
@@ -345,24 +341,35 @@ def _multistart(
 # Two-qubit local-measurement tasks
 
 
+# Scales x so that ``_angle_factors`` holds the Bloch half-angles theta/2
+_BELL_ANGLE_SCALE = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 0.5, 1.0])
+
+
+def _bell_factor_index() -> np.ndarray:
+    """Factor positions, in ``_angle_factors(_BELL_ANGLE_SCALE * x)``, of
+    conj(psi) and its derivatives by chi1, chi2, chi3 and phi_d, row-major
+    (5, 4), with psi = (psi_00, psi_01, psi_10, psi_11) the gauge-fixed
+    state, then of Alice's and Bob's ``_setting_kets``."""
+    (c1, s1, _, _), (c2, s2, _, _), (c3, s3, _, _) = (_angle_positions(8, k) for k in range(3))
+    phase = _angle_positions(8, 3)[3]  # e^{-i phi_d}
+    state = [
+        [c1], [s1, c2], [s1, s2, c3], [s1, s2, s3, phase],
+        [_MINUS, s1], [c1, c2], [c1, s2, c3], [c1, s2, s3, phase],
+        [_ZERO], [_MINUS, s1, s2], [s1, c2, c3], [s1, c2, s3, phase],
+        [_ZERO], [_ZERO], [_MINUS, s1, s2, s3], [s1, s2, c3, phase],
+        [_ZERO], [_ZERO], [_ZERO], [s1, s2, s3, phase, _MINUS_I],
+    ]
+    return _factor_index(state + _ket_factors(8, 4) + _ket_factors(8, 6))
+
+
+_BELL_FACTORS = _bell_factor_index()
+
+
 def _state_and_derivatives(x: np.ndarray) -> np.ndarray:
     """Gauge-fixed state psi = (psi_00, psi_01, psi_10, psi_11) as row 0,
     followed by its derivatives by chi1, chi2, chi3 and phi_d (shape (5, 4))."""
-    s1, s2, s3 = math.sin(x[0]), math.sin(x[1]), math.sin(x[2])
-    c1, c2, c3 = math.cos(x[0]), math.cos(x[1]), math.cos(x[2])
-    phase = cmath.exp(1j * x[3])
-    s12 = s1 * s2
-    d = s12 * s3 * phase
-    return np.array(
-        [
-            c1, s1 * c2, s12 * c3, d,
-            -s1, c1 * c2, c1 * s2 * c3, c1 * s2 * s3 * phase,
-            0, -s12, s1 * c2 * c3, s1 * c2 * s3 * phase,
-            0, 0, -s12 * s3, s12 * c3 * phase,
-            0, 0, 0, 1j * d,
-        ],
-        dtype=complex,
-    ).reshape(5, 4)
+    factors = _angle_factors(_BELL_ANGLE_SCALE * x)
+    return factors.take(_BELL_FACTORS[:20]).prod(axis=1).conj().reshape(5, 4)
 
 
 def _bell_table_index(events: Sequence[Event]) -> np.ndarray:
@@ -380,10 +387,11 @@ def _bell_amplitudes(x: np.ndarray, index: np.ndarray) -> np.ndarray:
     ``index`` (from ``_bell_table_index``), gathered from one table
     U conj(Psi_k) V^T: U and V stack a party's kets and their theta and phi
     derivatives (``_setting_kets``, 12 x 2), and Psi_k is the state or one
-    of its 4 derivatives as a 2 x 2 matrix."""
-    alice = _setting_kets(x[4], x[5]).reshape(12, 2)
-    bob = _setting_kets(x[6], x[7]).reshape(12, 2)
-    return ((alice @ _state_and_derivatives(x).reshape(5, 2, 2).conj()) @ bob.T).take(index)
+    of its 4 derivatives as a 2 x 2 matrix.  All their entries are products
+    of one table of factors (``_BELL_FACTORS``)."""
+    table = _angle_factors(_BELL_ANGLE_SCALE * x).take(_BELL_FACTORS).prod(axis=1)
+    alice, bob = table[20:].reshape(2, 12, 2)
+    return ((alice @ table[:20].reshape(5, 2, 2)) @ bob.T).take(index)
 
 
 def _bell_evaluate(x: np.ndarray, index: np.ndarray, n_positive: int) -> Evaluation:

@@ -19,7 +19,8 @@ the second parameterized on the Bloch sphere.  The parameterized kets are the
 outcome-0 eigenvectors; outcome 1 projects on their orthogonal complements.
 This module is the only one that knows that convention: ``_setting_kets``
 tabulates each party's outcome kets (row 2*outcome + setting, with their
-angle derivatives) and ``_bell_ket_indices`` maps 2-2-2 events to rows.
+angle derivatives) as products of the angles' cosines, sines and phases
+(``_ket_factors``), and ``_bell_ket_indices`` maps 2-2-2 events to rows.
 ``bell_event_probabilities`` reads its probabilities |u^T conj(psi) v|^2
 from that table, and the optimizer builds its event amplitudes from it.
 """
@@ -443,6 +444,49 @@ class BellLocalModel:
         )
 
 
+# The constants at the end of ``_angle_factors``, and their (negative)
+# positions there
+_CONSTANTS = np.array([1, 0, -1, 0.5, 1j, -1j])
+_ONE, _ZERO, _MINUS, _HALF, _I, _MINUS_I = range(-len(_CONSTANTS), 0)
+
+
+def _angle_factors(angles: np.ndarray) -> np.ndarray:
+    """cos a, sin a, e^{ia} and e^{-ia} of n angles a (at ``_angle_positions``),
+    followed by ``_CONSTANTS``: the table whose entries ``_factor_index`` rows
+    multiply."""
+    z = np.exp(1j * angles)
+    return np.concatenate([z.real, z.imag, z, z.conj(), _CONSTANTS])
+
+
+def _angle_positions(n: int, k: int) -> tuple[int, int, int, int]:
+    """Positions of cos, sin, e^{i a} and e^{-i a} of angle k of n in
+    ``_angle_factors``."""
+    return k, n + k, 2 * n + k, 3 * n + k
+
+
+def _factor_index(rows: Sequence[list[int]]) -> np.ndarray:
+    """Rows of factor positions, padded with ``_ONE`` to one width, so that
+    ``factors.take(index).prod(axis=1)`` multiplies each row's factors left
+    to right."""
+    width = max(map(len, rows))
+    return np.array([row + [_ONE] * (width - len(row)) for row in rows])
+
+
+def _ket_factors(n: int, k: int) -> list[list[int]]:
+    """Factor positions of ``_setting_kets``' 24 entries, in
+    ``_angle_factors`` of n angles with theta/2 at k and phi at k + 1."""
+    (c, s, _, _), (_, _, e, ec) = _angle_positions(n, k), _angle_positions(n, k + 1)
+    return [
+        [_ONE], [_ZERO], [c], [s, e], [_ZERO], [_MINUS], [s, ec], [_MINUS, c],
+        [_ZERO], [_ZERO], [_MINUS, s, _HALF], [c, _HALF, e],
+        [_ZERO], [_ZERO], [c, _HALF, ec], [s, _HALF],
+        [_ZERO], [_ZERO], [_ZERO], [_I, s, e], [_ZERO], [_ZERO], [_MINUS_I, s, ec], [_ZERO],
+    ]
+
+
+_SETTING_KETS = _factor_index(_ket_factors(2, 0))
+
+
 def _setting_kets(theta: float, phi: float) -> np.ndarray:
     """Outcome kets of one party and their derivatives, shape (3, 4, 2).
 
@@ -452,17 +496,8 @@ def _setting_kets(theta: float, phi: float) -> np.ndarray:
     has outcome-0 ket cos(t/2)|0> + e^{i p} sin(t/2)|1> and outcome-1 ket
     its conj-swapped complement.
     """
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    e = cmath.exp(1j * phi)
-    ec = e.conjugate()
-    return np.array(
-        [
-            1, 0, c, s * e, 0, -1, s * ec, -c,
-            0, 0, -s / 2, c / 2 * e, 0, 0, c / 2 * ec, s / 2,
-            0, 0, 0, 1j * s * e, 0, 0, -1j * s * ec, 0,
-        ],
-        dtype=complex,
-    ).reshape(3, 4, 2)
+    factors = _angle_factors(np.array([theta / 2, phi]))
+    return factors.take(_SETTING_KETS).prod(axis=1).reshape(3, 4, 2)
 
 
 # (Alice row, Bob row) of ``_setting_kets`` for every 2-2-2 event, keyed by

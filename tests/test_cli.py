@@ -305,6 +305,14 @@ class TestOptimizeCommand:
         assert main(["optimize", "hardy-local", "--restarts", "2", "--seed", "4"]) == 0
         assert "3 of 6 stages stopped with nonzero status" in capsys.readouterr().out
 
+    def test_summary_counts_polishes_stopped_at_the_cap(self, monkeypatch, capsys):
+        # CHSH-local polishes take about 25 evaluations, Hardy's 3
+        monkeypatch.setattr(optimize, "POLISH_MAX_EVALUATIONS", 4)
+        assert main(["optimize", "chsh-paradox-local", "--restarts", "2", "--seed", "4"]) == 0
+        assert "2 of 2 polishes stopped at the evaluation cap" in capsys.readouterr().out
+        assert main(["optimize", "hardy-local", "--restarts", "2", "--seed", "4"]) == 0
+        assert "polishes stopped" not in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "task, function, restarts",
         [

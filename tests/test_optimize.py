@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import os
@@ -9,7 +10,7 @@ import pytest
 import scipy.optimize
 
 import exclusivity
-from exclusivity import optimize, paradox
+from exclusivity import optimize, paradox, quantum
 from exclusivity.optimize import (
     Classification,
     OptimizerConfig,
@@ -258,8 +259,8 @@ class TestConfig:
 
 class TestPolish:
     def test_each_point_runs_the_polish_model_once(self, monkeypatch):
-        # least_squares asks for the Jacobian at the point it has just
-        # evaluated; that must not run the forward model a second time
+        # residuals and Jacobian come from one call, so no point is
+        # evaluated twice
         points = []
         multistart = optimize._multistart
 
@@ -278,33 +279,60 @@ class TestPolish:
     @pytest.mark.parametrize(
         "maximize, mean_evaluations",
         [
-            (maximize_hardy_local, 10),
-            (lambda config: maximize_kcbs_qutrit(False, config), 10),
-            (lambda config: maximize_kcbs_qutrit(True, config), 20),
+            (maximize_hardy_local, 5),
+            (maximize_chsh_paradox_local, 30),
+            (lambda config: maximize_kcbs_qutrit(False, config), 3),
+            (lambda config: maximize_kcbs_qutrit(True, config), 12),
         ],
-        ids=["hardy", "kcbs-free", "kcbs-constrained"],
+        ids=["hardy", "chsh", "kcbs-free", "kcbs-constrained"],
     )
-    def test_underdetermined_polish_takes_gauss_newton_steps(
-        self, monkeypatch, maximize, mean_evaluations
-    ):
-        # these systems have fewer residuals than parameters (6 x 8, 5 x 10
-        # and 7 x 10); over all parameters trf takes only Levenberg steps
-        # and needs about 52, 39 and 25 evaluations a restart at this seed
+    def test_polish_evaluations_per_task(self, monkeypatch, maximize, mean_evaluations):
+        # at this seed the polish takes 3, 24.5, 2 and 9.9 evaluations a
+        # restart on average
         results = []
-        least_squares = optimize.least_squares
+        polish = optimize._polish
 
-        def recorded(*args, **kwargs):
-            results.append(least_squares(*args, **kwargs))
+        def recorded(*args):
+            results.append(polish(*args))
             return results[-1]
 
-        monkeypatch.setattr(optimize, "least_squares", recorded)
+        monkeypatch.setattr(optimize, "_polish", recorded)
         result = maximize(OptimizerConfig(restarts=10, seed=5))
-        evaluations = [r.nfev for r in results]
+        evaluations = [r[1] for r in results]
         assert len(evaluations) == 10
         assert np.mean(evaluations) <= mean_evaluations
         assert max(evaluations) < optimize.POLISH_MAX_EVALUATIONS
         assert [s.polish_evaluations for s in result.restart_summaries] == evaluations
-        assert [s.polish_status for s in result.restart_summaries] == [r.status for r in results]
+        assert [s.polish_status for s in result.restart_summaries] == [r[2] for r in results]
+
+    def test_polish_reaches_a_zero(self):
+        # one linear residual in two parameters: the minimum-norm direction
+        def system(x):
+            return np.array([x[0] + 2.0 * x[1] - 3.0]), np.array([[1.0, 2.0]])
+
+        x, evaluations, status = optimize._polish(system, np.zeros(2))
+        assert abs(system(x)[0][0]) <= 1e-15
+        assert status != 0 and evaluations <= 10
+        assert x == pytest.approx([0.6, 1.2])
+
+    def test_polish_without_a_zero_stops_below_the_cap(self):
+        # |r|^2 = 2 + 2 x^2 is smallest at x = 0, where r = (-1, 1)
+        def system(x):
+            return np.array([x[0] - 1.0, x[0] + 1.0]), np.ones((2, 1))
+
+        x, evaluations, status = optimize._polish(system, np.ones(1))
+        assert status == 2
+        assert evaluations < optimize.POLISH_MAX_EVALUATIONS
+        assert abs(x[0]) <= 1e-7
+
+    def test_polish_towards_an_unattained_infimum_stops_at_the_cap(self):
+        # r = e^x tends to 0 only as x -> -inf: each step lowers |r|^2
+        def system(x):
+            return np.exp(x), np.exp(x)[:, None]
+
+        x, evaluations, status = optimize._polish(system, np.zeros(1))
+        assert (evaluations, status) == (optimize.POLISH_MAX_EVALUATIONS, 0)
+        assert x[0] < -10.0
 
     def test_stage_record_matches_minimize(self, monkeypatch):
         # constrained KCBS at seed 6: with scipy 1.17.1 two of the twelve
@@ -383,8 +411,8 @@ class TestLazyScipy:
             optimize.no_such_solver
 
     def test_wrapper_set_before_first_use_is_called(self, monkeypatch):
-        # the hook loads least_squares on the first restart and must leave
-        # the wrapper on minimize in place
+        # the hook loads scipy.optimize on first access and must leave the
+        # wrapper on minimize in place
         for name in ("minimize", "least_squares"):
             monkeypatch.delitem(vars(optimize), name, raising=False)
         calls = []
@@ -406,8 +434,56 @@ def assert_matches_central_differences(analytic, f, x, h=1e-6, tol=1e-8):
     assert np.max(np.abs(analytic - numeric)) <= tol
 
 
+def scalar_setting_kets(theta, phi):
+    """``quantum._setting_kets`` entry by entry, in scalar arithmetic."""
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    e = cmath.exp(1j * phi)
+    ec = e.conjugate()
+    return np.array(
+        [
+            1, 0, c, s * e, 0, -1, s * ec, -c,
+            0, 0, -s / 2, c / 2 * e, 0, 0, c / 2 * ec, s / 2,
+            0, 0, 0, 1j * s * e, 0, 0, -1j * s * ec, 0,
+        ],
+        dtype=complex,
+    ).reshape(3, 4, 2)
+
+
+def scalar_state_and_derivatives(x):
+    """``optimize._state_and_derivatives`` entry by entry, in scalar arithmetic."""
+    s1, s2, s3 = math.sin(x[0]), math.sin(x[1]), math.sin(x[2])
+    c1, c2, c3 = math.cos(x[0]), math.cos(x[1]), math.cos(x[2])
+    phase = cmath.exp(1j * x[3])
+    s12 = s1 * s2
+    d = s12 * s3 * phase
+    return np.array(
+        [
+            c1, s1 * c2, s12 * c3, d,
+            -s1, c1 * c2, c1 * s2 * c3, c1 * s2 * s3 * phase,
+            0, -s12, s1 * c2 * c3, s1 * c2 * s3 * phase,
+            0, 0, -s12 * s3, s12 * c3 * phase,
+            0, 0, 0, 1j * d,
+        ],
+        dtype=complex,
+    ).reshape(5, 4)
+
+
 class TestClosedFormJacobians:
     EVENTS = enumerate_events(bell_222())
+
+    def test_factor_tables_equal_the_scalar_tables(self):
+        # the gathered products multiply the same factors in the same order
+        # as the scalar formulas, so the tables agree bit for bit
+        index = _bell_table_index(self.EVENTS)
+        rng = np.random.default_rng(20241)
+        for _ in range(200):
+            x = _sample_bell_start(rng)
+            alice, bob = scalar_setting_kets(x[4], x[5]), scalar_setting_kets(x[6], x[7])
+            psi = scalar_state_and_derivatives(x)
+            table = (alice.reshape(12, 2) @ psi.reshape(5, 2, 2).conj()) @ bob.reshape(12, 2).T
+            assert np.array_equal(quantum._setting_kets(x[4], x[5]), alice)
+            assert np.array_equal(_state_and_derivatives(x), psi)
+            assert np.array_equal(_bell_amplitudes(x, index), table.take(index))
 
     def test_two_qubit_probabilities_match_forward_model(self):
         index = _bell_table_index(self.EVENTS)
